@@ -110,6 +110,16 @@ class Scenario:
                 )
             if sources[0].doa_deg != doa0:
                 raise ValueError("desired arrival angle must not change")
+        # generate_snapshot looks the epoch data up per snapshot; these keep
+        # that lookup from re-hashing every field and re-listing the starts
+        object.__setattr__(self, "_starts", tuple(starts))
+        object.__setattr__(
+            self, "_hash",
+            hash((self.geometry, self.epochs, self.noise_power, self.n_snapshots, self.gamma)),
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def desired_doa_deg(self) -> float:
@@ -151,8 +161,7 @@ def epoch_index(scenario: Scenario, i: int) -> int:
     """Index into ``scenario.epochs`` of the epoch active at snapshot ``i``."""
     if not 1 <= i <= scenario.n_snapshots:
         raise ValueError(f"snapshot index {i} outside [1, {scenario.n_snapshots}]")
-    starts = [start for start, _ in scenario.epochs]
-    return bisect_right(starts, i) - 1
+    return bisect_right(scenario._starts, i) - 1
 
 
 def active_sources(scenario: Scenario, i: int) -> tuple[Source, ...]:
@@ -161,16 +170,13 @@ def active_sources(scenario: Scenario, i: int) -> tuple[Source, ...]:
 
 
 @lru_cache(maxsize=256)
-def _epoch_steering(scenario: Scenario, k: int) -> np.ndarray:
+def _epoch_sources(scenario: Scenario, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Steering matrix (one column per source) and amplitudes of epoch ``k``."""
     sources = scenario.epochs[k][1]
-    return np.column_stack(
+    mat = np.column_stack(
         [steering_vector(scenario.geometry, s.doa_deg) for s in sources]
     )
-
-
-@lru_cache(maxsize=256)
-def _epoch_amplitudes(scenario: Scenario, k: int) -> np.ndarray:
-    return np.sqrt([s.power for s in scenario.epochs[k][1]])
+    return mat, np.sqrt([s.power for s in sources])
 
 
 def generate_snapshot(scenario: Scenario, i: int, rng: np.random.Generator) -> Snapshot:
@@ -180,9 +186,7 @@ def generate_snapshot(scenario: Scenario, i: int, rng: np.random.Generator) -> S
     then the noise vector, so a generator with a fixed seed reproduces the
     identical snapshot.
     """
-    k = epoch_index(scenario, i)
-    mat = _epoch_steering(scenario, k)
-    amps = _epoch_amplitudes(scenario, k)
+    mat, amps = _epoch_sources(scenario, epoch_index(scenario, i))
     symbols = 2.0 * rng.integers(0, 2, size=mat.shape[1]) - 1.0
     m = scenario.geometry.n_sensors
     scale = np.sqrt(scenario.noise_power / 2.0)
@@ -193,7 +197,7 @@ def generate_snapshot(scenario: Scenario, i: int, rng: np.random.Generator) -> S
 
 @lru_cache(maxsize=256)
 def _epoch_covariances(scenario: Scenario, k: int) -> tuple[np.ndarray, np.ndarray]:
-    mat = _epoch_steering(scenario, k)
+    mat = _epoch_sources(scenario, k)[0]
     powers = np.array([s.power for s in scenario.epochs[k][1]])
     a0 = mat[:, 0]
     desired = powers[0] * np.outer(a0, a0.conj())

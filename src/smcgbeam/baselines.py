@@ -75,7 +75,7 @@ class FrostSg:
         if self.normalized:
             mu = mu / (np.vdot(r, r).real + 1e-12)
         self.w = self._projector @ (self.w - mu * np.conj(y) * r) + self._quiescent
-        return complex(y)
+        return y
 
 
 class ConstrainedRls:
@@ -104,17 +104,15 @@ class ConstrainedRls:
         self._inv = np.eye(steering.size, dtype=complex) / inv_init
         self.w = self.gamma * steering / np.vdot(steering, steering).real
 
-    def step(self, r: np.ndarray) -> complex:
-        y = np.vdot(self.w, r)
+    def step(self, r: np.ndarray) -> None:
         qr = self._inv @ r
         gain = qr / (self.forgetting + np.vdot(r, qr).real)
-        inv = (self._inv - np.outer(gain, qr.conj())) / self.forgetting
+        inv = (self._inv - gain[:, None] * qr.conj()) / self.forgetting
         if not np.all(np.isfinite(inv.view(float))):
             raise FloatingPointError("inverse covariance update produced non-finite values")
         self._inv = 0.5 * (inv + inv.conj().T)  # keep the estimate Hermitian
         x = self._inv @ self.steering
         self.w = self.gamma * x / np.vdot(self.steering, x)
-        return complex(y)
 
 
 class ConstrainedCg:
@@ -133,6 +131,8 @@ class ConstrainedCg:
         eta: float = 0.5,
         r_hat_init: float = 1e-2,
     ) -> None:
+        if not 0.0 < forgetting <= 1.0:
+            raise ValueError("forgetting must lie in (0, 1]")
         self._state = SmCgState(
             steering,
             gamma=gamma,

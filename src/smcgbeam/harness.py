@@ -3,10 +3,21 @@
 An :class:`ExperimentConfig` pins everything a run needs: array size,
 scenario powers, epoch schedule, algorithm roster and seeding. Run ``k`` of
 an experiment uses an independent generator seeded with
-``master_seed XOR k``; the generator first draws the interferer arrival
-angles for that run, then the snapshot stream, so results are reproducible
-bit-for-bit. Every algorithm in the roster consumes the identical snapshot
-stream within a run.
+``master_seed XOR k``. Its stream is fixed, so results are reproducible
+bit-for-bit:
+
+1. the interferer arrival angles (``build_scenario``: one uniform draw per
+   candidate, candidates inside the guard band drawn again);
+2. then, for each snapshot in order, the BPSK symbols of the sources
+   active in its epoch (``integers(0, 2, size=q)``, desired source first),
+   then the real and then the imaginary part of the noise
+   (``standard_normal(m)`` each).
+
+Nothing else draws from it: the algorithms are deterministic, so every
+entry of the roster sees the identical snapshot stream within a run and
+adding or removing one changes no other entry's trace. The engine draws
+each snapshot with ``generate_snapshot``, in order, into a block of at
+most ``_BLOCK`` snapshots that lies in one epoch.
 
 Per-snapshot SINR is evaluated against the analytic epoch covariances and
 averaged across runs in the linear domain; update rates are averaged as
@@ -35,10 +46,28 @@ from .arrays import (
 )
 from .baselines import ConstrainedCg, ConstrainedRls, FrostSg, mvdr_weights
 from .bounds import FixedBound, PdbBound, PidbBound
-from .metrics import complexity_counts, sinr_linear
+from .metrics import complexity_counts, constraint_error_rows, sinr_linear
 from .smcg import SmCgState
 
 ALGO_KINDS = ("smcg", "sg", "rls", "cg", "mvdr")
+
+# The parameters each algorithm kind accepts. Their defaults and ranges
+# live in the constructors they are passed to, each of which words a
+# ValueError as "<parameter> ..."; ``validate`` adds only the type checks.
+_FLAGS = ("normalized",)
+_STATE_PARAMS = ("eta", "lambda1_min", "lambda1_max", "r_hat_init")
+_BOUND_PARAMS = {
+    "fixed": ("delta",),
+    "pdb": ("varsigma", "rho"),
+    "pidb": ("varsigma", "rho", "epsilon"),
+}
+_KIND_PARAMS = {
+    "sg": ("step_size", "normalized"),
+    "rls": ("forgetting", "inv_init"),
+    "cg": ("forgetting", "eta", "r_hat_init"),
+    "mvdr": (),
+}
+_BOUND_POLICIES = {"pdb": PdbBound, "pidb": PidbBound}
 
 # Accepted-snapshot fractions used for the default complexity table: the
 # selective algorithms at their observed rates, the data-selective CG at its
@@ -146,18 +175,43 @@ class ExperimentConfig:
         if len(set(labels)) != len(labels):
             raise ConfigError("algorithms labels must be unique")
         for spec in self.algorithms:
-            if spec.kind not in ALGO_KINDS:
-                raise ConfigError(f"algorithms[{spec.label}].kind {spec.kind!r} unknown")
-            if spec.kind == "smcg":
-                bound = spec.get("bound", "pidb")
-                if bound not in ("fixed", "pdb", "pidb"):
-                    raise ConfigError(f"algorithms[{spec.label}].bound {bound!r} unknown")
-                if bound == "fixed" and spec.get("delta") is None:
-                    raise ConfigError(f"algorithms[{spec.label}] fixed bound needs delta")
+            _validate_params(spec, self.m, self.gamma, self.noise_power)
 
     def digest(self) -> str:
         text = repr(self)
         return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _validate_params(spec: AlgoSpec, m: int, gamma: float, noise_power: float) -> None:
+    where = f"algorithms[{spec.label}]"
+    if spec.kind not in ALGO_KINDS:
+        raise ConfigError(f"{where}.kind {spec.kind!r} unknown")
+    if spec.kind == "smcg":
+        bound = spec.get("bound", "pidb")
+        if bound not in _BOUND_PARAMS:
+            raise ConfigError(f"{where}.bound {bound!r} unknown")
+        if bound == "fixed" and spec.get("delta") is None:
+            raise ConfigError(f"{where} fixed bound needs delta")
+        names = ("bound",) + _STATE_PARAMS + _BOUND_PARAMS[bound]
+        owner = f"kind 'smcg' with bound {bound!r}"
+    else:
+        names = _KIND_PARAMS[spec.kind]
+        owner = f"kind {spec.kind!r}"
+    for key, value in spec.params:
+        if key not in names:
+            raise ConfigError(f"{where}.{key} is not a parameter of {owner}")
+        if key == "bound":
+            continue
+        if key in _FLAGS:
+            if not isinstance(value, bool):
+                raise ConfigError(f"{where}.{key} must be true or false, got {value!r}")
+        elif isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+            raise ConfigError(f"{where}.{key} must be a finite number, got {value!r}")
+    # the constructors check the ranges; any valid steering vector will do
+    try:
+        _ENTRIES[spec.kind](spec, np.ones(m, dtype=complex), gamma, noise_power)
+    except ValueError as exc:
+        raise ConfigError(f"{where}.{exc}") from exc
 
 
 @dataclass
@@ -209,187 +263,175 @@ def build_scenario(config: ExperimentConfig, rng: np.random.Generator) -> Scenar
     )
 
 
-class _SmCgRunner:
-    has_bound = True
+class _StepDiverged(Exception):
+    """A filter step failed; carries what went non-finite and the snapshot."""
 
-    def __init__(self, spec: AlgoSpec, scenario: Scenario, a0: np.ndarray) -> None:
-        self.state = SmCgState(
-            a0,
-            gamma=scenario.gamma,
-            eta=spec.get("eta", 0.5),
-            lambda1_min=spec.get("lambda1_min", 0.1),
-            lambda1_max=spec.get("lambda1_max", 0.999),
-            r_hat_init=spec.get("r_hat_init", 1e-2),
-        )
-        self.a0 = a0
-        self.noise_power = scenario.noise_power
-        bound = spec.get("bound", "pidb")
+
+class _Entry:
+    """One roster entry of a run: its filter and the loop that advances it.
+
+    ``run`` advances the filter through one block of snapshots, all in one
+    epoch, and writes per snapshot whether it updated, its bound, the gate
+    magnitude ``|w^H r|^2`` and the post-step weights into the given rows.
+    """
+
+    def start_epoch(self, scenario: Scenario, i: int) -> None:
+        pass
+
+
+class _SmCgEntry(_Entry):
+    def __init__(self, spec: AlgoSpec, a0: np.ndarray, gamma: float, noise_power: float) -> None:
+        params = dict(spec.params)
+        bound = params.pop("bound", "pidb")
+        state_params = {k: params.pop(k) for k in _STATE_PARAMS if k in params}
+        self.state = SmCgState(a0, gamma=gamma, **state_params)
         if bound == "fixed":
-            self.policy = FixedBound(spec.get("delta"))
-        elif bound == "pdb":
-            self.policy = PdbBound(
-                self.state.w,
-                scenario.noise_power,
-                varsigma=spec.get("varsigma", 21.0),
-                rho=spec.get("rho", 0.9),
-            )
+            self.policy = FixedBound(**params)
         else:
-            self.policy = PidbBound(
-                self.state.w,
-                scenario.noise_power,
-                rho=spec.get("rho", 0.98),
-                varsigma=spec.get("varsigma", 19.0),
-                epsilon=spec.get("epsilon", 1e-3),
-            )
-
-    @property
-    def w(self) -> np.ndarray:
-        return self.state.w
-
-    def advance(self, r, y, epoch_changed, scenario, i):
-        self.policy.update(self.a0, r, y, self.state.w, self.noise_power)
-        delta = self.policy.delta
-        res = self.state.step(r, delta)
-        lam = res.lambda1 if res.lambda1 is not None else math.nan
-        return res.updated, delta, lam
-
-
-class _SgRunner:
-    has_bound = False
-
-    def __init__(self, spec: AlgoSpec, scenario: Scenario, a0: np.ndarray) -> None:
-        self.algo = FrostSg(
-            a0,
-            gamma=scenario.gamma,
-            step_size=spec.get("step_size", 0.05),
-            normalized=spec.get("normalized", True),
-        )
-
-    @property
-    def w(self) -> np.ndarray:
-        return self.algo.w
-
-    def advance(self, r, y, epoch_changed, scenario, i):
-        self.algo.step(r)
-        return True, 0.0, math.nan
-
-
-class _RlsRunner:
-    has_bound = False
-
-    def __init__(self, spec: AlgoSpec, scenario: Scenario, a0: np.ndarray) -> None:
-        self.algo = ConstrainedRls(
-            a0,
-            gamma=scenario.gamma,
-            forgetting=spec.get("forgetting", 0.998),
-            inv_init=spec.get("inv_init", 1e-2),
-        )
-
-    @property
-    def w(self) -> np.ndarray:
-        return self.algo.w
-
-    def advance(self, r, y, epoch_changed, scenario, i):
-        self.algo.step(r)
-        return True, 0.0, math.nan
-
-
-class _CgRunner:
-    has_bound = False
-
-    def __init__(self, spec: AlgoSpec, scenario: Scenario, a0: np.ndarray) -> None:
-        self.algo = ConstrainedCg(
-            a0,
-            gamma=scenario.gamma,
-            forgetting=spec.get("forgetting", 0.998),
-            eta=spec.get("eta", 0.5),
-            r_hat_init=spec.get("r_hat_init", 1e-2),
-        )
-
-    @property
-    def w(self) -> np.ndarray:
-        return self.algo.w
-
-    def advance(self, r, y, epoch_changed, scenario, i):
-        res = self.algo.step(r)
-        lam = res.lambda1 if res.lambda1 is not None else math.nan
-        return res.updated, 0.0, lam
-
-
-class _MvdrRunner:
-    has_bound = False
-
-    def __init__(self, spec: AlgoSpec, scenario: Scenario, a0: np.ndarray) -> None:
+            self.policy = _BOUND_POLICIES[bound](self.state.w, noise_power, **params)
         self.a0 = a0
-        self.gamma = scenario.gamma
-        self.w = mvdr_weights(total_covariance(scenario, 1), a0, scenario.gamma)
+        self.noise_power = noise_power
 
-    def advance(self, r, y, epoch_changed, scenario, i):
-        if epoch_changed:
-            self.w = mvdr_weights(total_covariance(scenario, i), self.a0, self.gamma)
-        return False, 0.0, math.nan
+    def run(self, block, first, upd, dlt, y2, w_out) -> None:
+        state, policy, a0, noise_power = self.state, self.policy, self.a0, self.noise_power
+        update = policy.update
+        for k, r in enumerate(block):
+            w = state.w
+            y = np.vdot(w, r)
+            update(a0, r, y, w, noise_power)
+            delta = policy.delta
+            upd[k] = state.step(r, delta, y).updated
+            dlt[k] = delta
+            y2[k] = abs(y) ** 2
+            w_out[k] = state.w
 
 
-_RUNNERS = {
-    "smcg": _SmCgRunner,
-    "sg": _SgRunner,
-    "rls": _RlsRunner,
-    "cg": _CgRunner,
-    "mvdr": _MvdrRunner,
+class _SgEntry(_Entry):
+    def __init__(self, spec: AlgoSpec, a0: np.ndarray, gamma: float, noise_power: float) -> None:
+        self.algo = FrostSg(a0, gamma=gamma, **dict(spec.params))
+
+    def run(self, block, first, upd, dlt, y2, w_out) -> None:
+        algo = self.algo
+        upd[:] = True
+        for k, r in enumerate(block):
+            y2[k] = abs(algo.step(r)) ** 2
+            w_out[k] = algo.w
+
+
+class _RlsEntry(_Entry):
+    def __init__(self, spec: AlgoSpec, a0: np.ndarray, gamma: float, noise_power: float) -> None:
+        self.algo = ConstrainedRls(a0, gamma=gamma, **dict(spec.params))
+
+    def run(self, block, first, upd, dlt, y2, w_out) -> None:
+        algo = self.algo
+        upd[:] = True
+        for k, r in enumerate(block):
+            y2[k] = abs(np.vdot(algo.w, r)) ** 2
+            try:
+                algo.step(r)
+            except FloatingPointError as exc:
+                raise _StepDiverged("inverse covariance", first + k) from exc
+            w_out[k] = algo.w
+
+
+class _CgEntry(_Entry):
+    def __init__(self, spec: AlgoSpec, a0: np.ndarray, gamma: float, noise_power: float) -> None:
+        self.algo = ConstrainedCg(a0, gamma=gamma, **dict(spec.params))
+
+    def run(self, block, first, upd, dlt, y2, w_out) -> None:
+        algo = self.algo
+        for k, r in enumerate(block):
+            res = algo.step(r)
+            upd[k] = res.updated
+            y2[k] = abs(res.y) ** 2
+            w_out[k] = algo.w
+
+
+class _MvdrEntry(_Entry):
+    def __init__(self, spec: AlgoSpec, a0: np.ndarray, gamma: float, noise_power: float) -> None:
+        self.a0 = a0
+        self.gamma = gamma
+
+    def start_epoch(self, scenario: Scenario, i: int) -> None:
+        self.w = mvdr_weights(total_covariance(scenario, i), self.a0, self.gamma)
+
+    def run(self, block, first, upd, dlt, y2, w_out) -> None:
+        y2[:] = np.abs(np.vecdot(self.w, block)) ** 2
+        w_out[: len(block)] = self.w
+
+
+_ENTRIES = {
+    "smcg": _SmCgEntry,
+    "sg": _SgEntry,
+    "rls": _RlsEntry,
+    "cg": _CgEntry,
+    "mvdr": _MvdrEntry,
 }
 
 _COMPLEXITY_KIND = {"smcg": "sm-cg", "sg": "sg", "rls": "rls", "cg": "cg"}
 
+# Snapshots per block: enough to amortise the batched SINR evaluation, few
+# enough that the block buffers stay small next to the per-run traces.
+_BLOCK = 256
 
-def _single_run(config, scenario, rng, a0):
+
+def _single_run(config, scenario, rng, a0, run=0):
+    """Advance every roster entry through one run, block by block.
+
+    Blocks never straddle an epoch start. Within a block the snapshots are
+    drawn first, one ``generate_snapshot`` call each, then each entry runs
+    through all of them; the SINR and the constraint error are evaluated in
+    one batch for the snapshots where the entry updated or an epoch starts,
+    and carried forward in between.
+    """
     n = scenario.n_snapshots
-    runners = [_RUNNERS[spec.kind](spec, scenario, a0) for spec in config.algorithms]
-    n_alg = len(runners)
+    n_alg = len(config.algorithms)
+    entries = [
+        _ENTRIES[spec.kind](spec, a0, scenario.gamma, scenario.noise_power)
+        for spec in config.algorithms
+    ]
     sinr_lin = np.empty((n_alg, n))
     y_abs_sq = np.empty((n_alg, n))
     delta_arr = np.zeros((n_alg, n))
-    lam_arr = np.full((n_alg, n), math.nan)
     upd_arr = np.zeros((n_alg, n), dtype=bool)
     cons_err = np.zeros(n_alg)
-    current = [math.nan] * n_alg
-    epoch_starts = {start for start, _ in scenario.epochs}
-    gamma = scenario.gamma
-    des_cov = np.empty(0)
-    int_cov = np.empty(0)
+    current = np.full(n_alg, math.nan)
+    block = np.empty((_BLOCK, scenario.geometry.n_sensors), dtype=complex)
+    w_block = np.empty_like(block)
+    starts = [start for start, _ in scenario.epochs] + [n + 1]
 
-    for i in range(1, n + 1):
-        snap = generate_snapshot(scenario, i, rng)
-        r = snap.r
-        epoch_changed = i in epoch_starts
-        if epoch_changed:
-            des_cov = desired_covariance(scenario, i)
-            int_cov = interference_covariance(scenario, i)
-        col = i - 1
-        for j, runner in enumerate(runners):
-            y = np.vdot(runner.w, r)
-            updated, delta, lam = runner.advance(r, y, epoch_changed, scenario, i)
-            if updated or epoch_changed:
-                w = runner.w
+    for start, stop in zip(starts, starts[1:]):
+        des_cov = desired_covariance(scenario, start)
+        int_cov = interference_covariance(scenario, start)
+        for entry in entries:
+            entry.start_epoch(scenario, start)
+        for first in range(start, stop, _BLOCK):
+            count = min(_BLOCK, stop - first)
+            rows = block[:count]
+            for k in range(count):
+                rows[k] = generate_snapshot(scenario, first + k, rng).r
+            cols = slice(first - 1, first - 1 + count)
+            for j, entry in enumerate(entries):
+                upd = upd_arr[j, cols]
                 try:
-                    if not np.isfinite(w).all():
-                        raise ValueError("non-finite weights")
-                    current[j] = sinr_linear(w, des_cov, int_cov)
-                except ValueError:
-                    # the noise floor keeps the output power positive for any
-                    # finite nonzero w, so a failure here means the weights
-                    # blew up; leave a nan so the caller reports the
-                    # divergence with run, algorithm and snapshot attached
-                    current[j] = math.nan
-                else:
-                    err = abs(np.vdot(w, a0) - gamma)
-                    if err > cons_err[j]:
-                        cons_err[j] = err
-            sinr_lin[j, col] = current[j]
-            y_abs_sq[j, col] = abs(y) ** 2
-            delta_arr[j, col] = delta
-            lam_arr[j, col] = lam
-            upd_arr[j, col] = updated
-    return sinr_lin, y_abs_sq, delta_arr, lam_arr, upd_arr, cons_err
+                    entry.run(rows, first, upd, delta_arr[j, cols], y_abs_sq[j, cols], w_block)
+                except _StepDiverged as exc:
+                    what, snapshot = exc.args
+                    raise RunDivergedError(
+                        f"run {run}: non-finite {what} for algorithm "
+                        f"{config.algorithms[j].label!r} at snapshot {snapshot}"
+                    ) from exc
+                fresh = upd.copy()
+                fresh[0] |= first == start
+                idx = np.flatnonzero(fresh)
+                vals = sinr_linear(w_block[idx], des_cov, int_cov)
+                ok = idx[~np.isnan(vals)]
+                errs = constraint_error_rows(w_block[ok], a0, scenario.gamma)
+                cons_err[j] = np.fmax.reduce(errs, initial=cons_err[j])
+                filled = np.concatenate(([current[j]], vals))[np.cumsum(fresh)]
+                sinr_lin[j, cols] = filled
+                current[j] = filled[-1]
+    return sinr_lin, y_abs_sq, delta_arr, upd_arr, cons_err
 
 
 def run_experiment(config: ExperimentConfig) -> AggregateResult:
@@ -414,8 +456,8 @@ def run_experiment(config: ExperimentConfig) -> AggregateResult:
         rng = np.random.default_rng(config.master_seed ^ k)
         scenario = build_scenario(config, rng)
         a0 = steering_vector(scenario.geometry, scenario.desired_doa_deg)
-        sinr_lin, y_abs_sq, delta_arr, _, upd_arr, cons_err = _single_run(
-            config, scenario, rng, a0
+        sinr_lin, y_abs_sq, delta_arr, upd_arr, cons_err = _single_run(
+            config, scenario, rng, a0, k
         )
         for name, arr in (("sinr", sinr_lin), ("gate", y_abs_sq), ("bound", delta_arr)):
             if not np.all(np.isfinite(arr)):

@@ -20,18 +20,47 @@ SINR_FLOOR_DB = -200.0
 _SINR_FLOOR_LINEAR = 1e-20
 
 
-def sinr_linear(w: np.ndarray, desired_cov: np.ndarray, intnoise_cov: np.ndarray) -> float:
+def sinr_linear(
+    w: np.ndarray, desired_cov: np.ndarray, intnoise_cov: np.ndarray
+) -> float | np.ndarray:
     """Ratio of desired to interference-plus-noise output power, floored.
 
     The floor keeps weight vectors orthogonal to the desired response from
     producing a zero (or negative rounding) numerator downstream.
+
+    ``w`` may also hold one weight vector per row. The result is then an
+    array that equals the call on each row bit for bit, with nan where that
+    call would raise or the row is not finite. Each quadratic form is then
+    a stack of matrix-vector products reduced by ``vecdot``, which runs the
+    same kernels as ``C @ w`` and ``vdot``; one matrix-matrix product would
+    round differently.
     """
+    if np.ndim(w) == 2:
+        out = np.full(len(w), np.nan)
+        finite = np.flatnonzero(np.isfinite(w).all(axis=1))
+        w = w[finite]
+        num = np.vecdot(w, (desired_cov @ w[..., None])[..., 0]).real
+        den = np.vecdot(w, (intnoise_cov @ w[..., None])[..., 0]).real
+        positive = den > 0.0
+        ratio = num[positive] / den[positive]
+        out[finite[positive]] = np.where(ratio > _SINR_FLOOR_LINEAR, ratio, _SINR_FLOOR_LINEAR)
+        return out
     num = np.vdot(w, desired_cov @ w).real
     den = np.vdot(w, intnoise_cov @ w).real
     if not den > 0.0:
         raise ValueError("interference-plus-noise output power must be positive")
     ratio = num / den
     return ratio if ratio > _SINR_FLOOR_LINEAR else _SINR_FLOOR_LINEAR
+
+
+def constraint_error_rows(w_rows: np.ndarray, steering: np.ndarray, gamma: float) -> np.ndarray:
+    """``abs(np.vdot(w, steering) - gamma)`` of every row ``w``, bit for bit.
+
+    ``hypot`` of the parts is the scalar ``abs``; the array ``abs`` of a
+    complex array can differ from it in the last bit.
+    """
+    err = np.vecdot(w_rows, steering) - gamma
+    return np.hypot(err.real, err.imag)
 
 
 def output_sinr(w: np.ndarray, scenario: Scenario, i: int) -> float:

@@ -171,8 +171,12 @@ class SmCgState:
             raise ValueError("steering must be nonzero")
         if not 0.0 <= eta <= 0.5:
             raise ValueError("eta must lie in [0, 0.5]")
-        if not 0.0 < lambda1_min <= lambda1_max <= 1.0:
-            raise ValueError("require 0 < lambda1_min <= lambda1_max <= 1")
+        if not 0.0 < lambda1_min <= 1.0:
+            raise ValueError("lambda1_min must lie in (0, 1]")
+        if not 0.0 < lambda1_max <= 1.0:
+            raise ValueError("lambda1_max must lie in (0, 1]")
+        if lambda1_min > lambda1_max:
+            raise ValueError("lambda1_min must not exceed lambda1_max")
         if not r_hat_init > 0.0:
             raise ValueError("r_hat_init must be positive")
 
@@ -202,7 +206,12 @@ class SmCgState:
         return complex(np.vdot(self.w, r))
 
     def compute_lambda1(self, r: np.ndarray, delta: float) -> float:
-        """Clamped forgetting factor for an accepted snapshot."""
+        """Clamped forgetting factor for an accepted snapshot.
+
+        A clamp of zero width pins the factor, so no root is solved.
+        """
+        if self.lambda1_min == self.lambda1_max:
+            return self.lambda1_max
         lam = lambda1_root(
             self.v, self.g, self.p, self.r_hat, self.steering, r, delta, self.eta
         )
@@ -224,21 +233,29 @@ class SmCgState:
         num -= lambda1 * (pr * np.vdot(r, self.v)).real
         return float(num / denom)
 
-    def step(self, r: np.ndarray, delta: float) -> StepResult:
+    def step(self, r: np.ndarray, delta: float, y: complex | None = None) -> StepResult:
         """Process one snapshot against the bound ``delta``.
 
-        The state mutates only when ``|y|^2`` strictly exceeds
-        ``delta^2``; rejected snapshots leave every field untouched.
+        ``y``, when given, must be the output ``np.vdot(self.w, r)`` the
+        caller has computed already; it is trusted, and ``r`` is then used
+        as given, without the conversion and length check of
+        :meth:`output`. The state mutates only when ``|y|^2`` strictly exceeds
+        ``delta^2``; rejected snapshots leave every field untouched. ``w``
+        is rebound on an update, never written in place, so the ``w`` of a
+        result stays valid after later steps.
         """
         if delta < 0.0:
             raise ValueError("delta must be non-negative")
-        r = np.asarray(r, dtype=complex)
-        y = self.output(r)
+        if y is None:
+            r = np.asarray(r, dtype=complex)
+            y = self.output(r)
+        else:
+            y = complex(y)  # the gate below then rounds exactly as with output()
         self.step_count += 1
         if not abs(y) ** 2 > delta ** 2:
             return StepResult(
                 y=y, delta=delta, updated=False,
-                lambda1=None, alpha=None, beta=None, w=self.w.copy(),
+                lambda1=None, alpha=None, beta=None, w=self.w,
             )
 
         try:
@@ -249,7 +266,7 @@ class SmCgState:
 
         # all scalars resolved; commit the state in the recursion order
         rv = np.vdot(r, self.v)  # r^H v(i-1), consumed by the gradient update
-        self.r_hat += lam * np.outer(r, r.conj())
+        self.r_hat += lam * (r[:, None] * r.conj())
         rp = self.r_hat @ self.p
         self.v = self.v + alpha * self.p
         self.g = self.g - alpha * rp - lam * rv * r
@@ -265,6 +282,6 @@ class SmCgState:
         self.update_count += 1
         return StepResult(
             y=y, delta=delta, updated=True,
-            lambda1=lam, alpha=alpha, beta=beta, w=self.w.copy(),
+            lambda1=lam, alpha=alpha, beta=beta, w=self.w,
             w_degenerate=degenerate,
         )

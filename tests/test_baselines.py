@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from smcgbeam import smcg
 from smcgbeam.arrays import (
     ArrayGeometry,
     Scenario,
@@ -170,3 +171,35 @@ class TestConstrainedCg:
         for i in range(1, 200):
             algo.step(generate_snapshot(sc, i, rng).r)
             assert abs(np.vdot(algo.w, a0) - 1.0) < 1e-10
+
+    def test_long_horizon_invariants_without_solving(self, monkeypatch):
+        """3000 updates at m=16 keep the recursion exact and never solve for lambda1.
+
+        The forgetting factor is pinned by a zero-width clamp, so the
+        closed-form root must never run; it is replaced by one that raises.
+        """
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("pinned forgetting factor solved for a root")
+
+        monkeypatch.setattr(smcg, "lambda1_root", no_solve)
+        m = 16
+        geometry = ArrayGeometry(m)
+        sources = (Source(90.0, 10.0),) + tuple(
+            Source(doa, 1000.0) for doa in (25.0, 40.0, 55.0, 70.0, 110.0, 125.0, 140.0, 155.0)
+        )
+        sc = Scenario(geometry=geometry, epochs=((1, sources),), noise_power=1.0,
+                      n_snapshots=3000)
+        a0 = steering_vector(geometry, 90.0)
+        algo = ConstrainedCg(a0)
+        rng = np.random.default_rng(11)
+        worst = 0.0
+        for i in range(1, 3001):
+            assert algo.step(generate_snapshot(sc, i, rng).r).updated
+            worst = max(worst, abs(np.vdot(algo.w, a0) - 1.0))
+        state = algo.state
+        residual = state.g - (a0 - state.r_hat @ state.v)
+        assert np.linalg.norm(residual) / np.linalg.norm(a0) <= 1e-10
+        asym = np.abs(state.r_hat - state.r_hat.conj().T).max()
+        assert asym <= 1e-14 * np.abs(state.r_hat).max()
+        assert worst <= 1e-12

@@ -8,6 +8,7 @@ import configparser
 import csv
 
 import numpy as np
+import pytest
 
 from smcgbeam.cli import main
 from smcgbeam.harness import PRESET_NAMES, config_to_sections, preset
@@ -71,6 +72,28 @@ class TestRun:
         )
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "fig4.csv").exists()
+
+    @pytest.mark.parametrize(
+        "override, field",
+        [
+            ("algo:smcg.epsilion=5", "algorithms[smcg].epsilion"),
+            ("algo:smcg.eta=abc", "algorithms[smcg].eta"),
+            ("algo:smcg.eta=0.9", "algorithms[smcg].eta"),
+            ("algo:rls.forgetting=1.5", "algorithms[rls].forgetting"),
+        ],
+    )
+    def test_bad_algorithm_parameter_exits_2_naming_it(
+        self, tmp_path, capsys, override, field
+    ):
+        rc = main(
+            [
+                "run", "--preset", "fig4", "--runs", "1", "--out", str(tmp_path),
+                "--set", "scenario.n_snapshots=20", "--set", override,
+            ]
+        )
+        assert rc == 2
+        assert f"error: {field}" in capsys.readouterr().err
         assert not (tmp_path / "fig4.csv").exists()
 
     def test_divergence_exits_1_with_context(self, tmp_path, capsys):

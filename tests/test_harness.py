@@ -7,6 +7,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from smcgbeam import harness
+from smcgbeam.arrays import generate_snapshot
 from smcgbeam.harness import (
     PRESET_NAMES,
     AlgoSpec,
@@ -95,6 +97,51 @@ class TestValidation:
             (
                 dict(algorithms=(algo("x", "smcg", bound="fixed"),)),
                 "needs delta",
+            ),
+            pytest.param(
+                dict(algorithms=(algo("x", "smcg", epsilion=5),)),
+                r"algorithms\[x\]\.epsilion is not a parameter",
+                id="unknown-key",
+            ),
+            pytest.param(
+                dict(algorithms=(algo("x", "smcg", bound="fixed", delta=1.0, rho=0.9),)),
+                r"algorithms\[x\]\.rho is not a parameter of kind 'smcg' with bound 'fixed'",
+                id="key-of-another-bound",
+            ),
+            pytest.param(
+                dict(algorithms=(algo("x", "rls", eta=0.5),)),
+                r"algorithms\[x\]\.eta is not a parameter of kind 'rls'",
+                id="key-of-another-kind",
+            ),
+            pytest.param(
+                dict(algorithms=(algo("x", "smcg", eta="abc"),)),
+                r"algorithms\[x\]\.eta must be a finite number",
+                id="not-a-number",
+            ),
+            pytest.param(
+                dict(algorithms=(algo("x", "cg", r_hat_init=float("inf")),)),
+                r"algorithms\[x\]\.r_hat_init must be a finite number",
+                id="not-finite",
+            ),
+            pytest.param(
+                dict(algorithms=(algo("x", "sg", normalized=1),)),
+                r"algorithms\[x\]\.normalized must be true or false",
+                id="not-a-flag",
+            ),
+            pytest.param(
+                dict(algorithms=(algo("x", "smcg", eta=0.9),)),
+                r"algorithms\[x\]\.eta must lie in \[0, 0.5\]",
+                id="eta-out-of-range",
+            ),
+            pytest.param(
+                dict(algorithms=(algo("x", "rls", forgetting=1.5),)),
+                r"algorithms\[x\]\.forgetting must lie in \(0, 1\]",
+                id="forgetting-out-of-range",
+            ),
+            pytest.param(
+                dict(algorithms=(algo("x", "smcg", lambda1_min=0.5, lambda1_max=0.2),)),
+                r"algorithms\[x\]\.lambda1_min must not exceed",
+                id="empty-clamp",
             ),
         ],
     )
@@ -232,6 +279,45 @@ class TestRunExperiment:
             run_experiment(cfg)
         assert "run 0" in str(err.value)
         assert "'sg'" in str(err.value)
+
+    def test_diverging_rls_reported_with_context(self):
+        """A non-finite inverse covariance names run, algorithm and snapshot."""
+        cfg = tiny_config(runs=1, algorithms=(algo("rls", "rls", inv_init=1e-320),))
+        with np.errstate(all="ignore"), pytest.raises(RunDivergedError) as err:
+            run_experiment(cfg)
+        assert str(err.value) == (
+            "run 0: non-finite inverse covariance for algorithm 'rls' at snapshot 1"
+        )
+
+    def test_snapshot_stream_contract(self, monkeypatch):
+        """The engine draws exactly what successive generate_snapshot calls draw.
+
+        Per run: the interferer angles, then per snapshot the symbols, the
+        real and the imaginary noise. The epoch switches from an even to an
+        odd source count, and the horizon is not a whole number of blocks.
+        """
+        cfg = tiny_config(
+            epochs=((1, 2), (300, 3)), n_snapshots=600, runs=1,
+            algorithms=(algo("smcg", "smcg"), algo("rls", "rls"), algo("mvdr", "mvdr")),
+        )
+        assert cfg.n_snapshots % harness._BLOCK != 0
+        seen = []
+        run_block = harness._MvdrEntry.run
+
+        def record(self, block, first, *rest):
+            seen.append((first, block.copy()))
+            run_block(self, block, first, *rest)
+
+        monkeypatch.setattr(harness._MvdrEntry, "run", record)
+        run_experiment(cfg)
+        rng = np.random.default_rng(cfg.master_seed)
+        scenario = build_scenario(cfg, rng)
+        expected = np.array(
+            [generate_snapshot(scenario, i, rng).r for i in range(1, cfg.n_snapshots + 1)]
+        )
+        assert [first for first, _ in seen] == [1, 257, 300, 556]
+        got = np.concatenate([rows for _, rows in seen])
+        assert got.tobytes() == expected.tobytes()
 
     def test_validates_before_running(self):
         with pytest.raises(ConfigError):

@@ -12,6 +12,7 @@ from smcgbeam.metrics import (
     COMPLEXITY_ALGORITHMS,
     RunTrace,
     complexity_counts,
+    constraint_error_rows,
     output_sinr,
     sinr_linear,
     update_rate,
@@ -76,6 +77,51 @@ class TestSinr:
         # epoch 1: no interference, SINR = 10 * m / 1
         assert output_sinr(w, sc, 1) == pytest.approx(10 * np.log10(40.0), abs=1e-9)
         assert output_sinr(w, sc, 6) < output_sinr(w, sc, 5)
+
+
+class TestBatchedForms:
+    """The stacked forms the engine uses must equal the per-vector ones bit for bit.
+
+    A NumPy or BLAS change that rounds them differently breaks the
+    byte-identity of the preset CSVs, so it has to fail here first.
+    """
+
+    @pytest.mark.parametrize("m", [1, 4, 16, 64])
+    def test_equal_to_sinr_linear_and_vdot(self, m):
+        rng = np.random.default_rng(m)
+        a0 = np.ones(m, dtype=complex)
+        basis = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        desired = 10.0 * np.outer(a0, a0.conj())
+        intnoise = basis @ basis.conj().T + np.eye(m)
+        w_rows = rng.standard_normal((300, m)) + 1j * rng.standard_normal((300, m))
+        w_rows[7] = np.nan
+        w_rows[8, 0] = np.inf
+        w_rows[9] = 0.0  # zero output power: sinr_linear raises
+        if m > 1:
+            # orthogonal to the desired response: the floor applies
+            w_rows[10] = 0.0
+            w_rows[10, :2] = [1.0, -1.0]
+            assert sinr_linear(w_rows[10], desired, intnoise) == 1e-20
+
+        expected = []
+        for w in w_rows:
+            try:
+                if not np.isfinite(w).all():
+                    raise ValueError
+                expected.append(sinr_linear(w, desired, intnoise))
+            except ValueError:
+                expected.append(np.nan)
+        got = sinr_linear(w_rows, desired, intnoise)
+        assert got.tobytes() == np.array(expected).tobytes()
+
+        steering = np.exp(1j * rng.uniform(0.0, 2 * np.pi, m))
+        finite = w_rows[np.isfinite(got)]
+        # rows scaled onto the constraint leave only rounding in the error
+        feasible = finite * (2.0 / np.conj(np.vecdot(finite, steering)))[:, None]
+        finite = np.concatenate([finite, feasible])
+        errs = [abs(np.vdot(w, steering) - 2.0) for w in finite]
+        got_errs = constraint_error_rows(finite, steering, 2.0)
+        assert got_errs.tobytes() == np.array(errs).tobytes()
 
 
 class TestRunTrace:
