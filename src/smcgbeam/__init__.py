@@ -35,11 +35,9 @@ from .harness import (
 )
 from .metrics import (
     COMPLEXITY_ALGORITHMS,
-    RunTrace,
     complexity_counts,
     output_sinr,
     sinr_linear,
-    update_rate,
 )
 from .smcg import DegenerateLambdaError, SmCgState, StepResult, lambda1_root
 
@@ -75,11 +73,9 @@ __all__ = [
     "presets",
     "run_experiment",
     "COMPLEXITY_ALGORITHMS",
-    "RunTrace",
     "complexity_counts",
     "output_sinr",
     "sinr_linear",
-    "update_rate",
     "DegenerateLambdaError",
     "SmCgState",
     "StepResult",

@@ -164,11 +164,6 @@ def epoch_index(scenario: Scenario, i: int) -> int:
     return bisect_right(scenario._starts, i) - 1
 
 
-def active_sources(scenario: Scenario, i: int) -> tuple[Source, ...]:
-    """Sources transmitting at snapshot ``i`` (desired one first)."""
-    return scenario.epochs[epoch_index(scenario, i)][1]
-
-
 @lru_cache(maxsize=256)
 def _epoch_sources(scenario: Scenario, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Steering matrix (one column per source) and amplitudes of epoch ``k``."""

@@ -25,6 +25,7 @@ from .harness import (
     presets,
     run_experiment,
     sections_to_config,
+    with_runs_and_seed,
 )
 
 
@@ -68,18 +69,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve_configs(args):
     if args.preset:
-        configs = preset(args.preset, runs=args.runs, master_seed=args.seed)
+        configs = preset(args.preset)
     else:
         configs = (load_config_file(args.config),)
-        if args.runs is not None or args.seed is not None:
-            from dataclasses import replace
-
-            kwargs = {}
-            if args.runs is not None:
-                kwargs["runs"] = args.runs
-            if args.seed is not None:
-                kwargs["master_seed"] = args.seed
-            configs = tuple(replace(c, **kwargs) for c in configs)
+    configs = with_runs_and_seed(configs, args.runs, args.seed)
     if args.overrides:
         patched = []
         for config in configs:

@@ -29,8 +29,9 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import inspect
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -49,36 +50,52 @@ from .bounds import FixedBound, PdbBound, PidbBound
 from .metrics import complexity_counts, constraint_error_rows, sinr_linear
 from .smcg import SmCgState
 
-ALGO_KINDS = ("smcg", "sg", "rls", "cg", "mvdr")
+_REQUIRED = inspect.Parameter.empty
 
-# The parameters each algorithm kind accepts. Their defaults and ranges
-# live in the constructors they are passed to, each of which words a
-# ValueError as "<parameter> ..."; ``validate`` adds only the type checks.
-_FLAGS = ("normalized",)
-_STATE_PARAMS = ("eta", "lambda1_min", "lambda1_max", "r_hat_init")
-_BOUND_PARAMS = {
-    "fixed": ("delta",),
-    "pdb": ("varsigma", "rho"),
-    "pidb": ("varsigma", "rho", "epsilon"),
-}
-_KIND_PARAMS = {
-    "sg": ("step_size", "normalized"),
-    "rls": ("forgetting", "inv_init"),
-    "cg": ("forgetting", "eta", "r_hat_init"),
-    "mvdr": (),
-}
-_BOUND_POLICIES = {"pdb": PdbBound, "pidb": PidbBound}
 
-# Accepted-snapshot fractions used for the default complexity table: the
-# selective algorithms at their observed rates, the data-selective CG at its
-# reported reuse rate.
-DEFAULT_TAU = {
+def _keywords(cls) -> dict[str, object]:
+    """The parameters of ``cls`` that a roster entry sets, with their defaults.
+
+    A parameter without a default maps to ``_REQUIRED``. The engine passes
+    the steering vector, gamma, the initial weights and the noise power.
+    """
+    return {
+        name: p.default
+        for name, p in inspect.signature(cls).parameters.items()
+        if name not in ("steering", "gamma", "w0", "noise_power")
+    }
+
+
+# The parameters of each algorithm kind are those of the constructor they
+# are passed to, which also owns their defaults and ranges and words each
+# ValueError as "<parameter> ...". A default's type is the parameter's:
+# a bool default makes a flag, any other default a finite number. An smcg
+# entry sets the state's parameters and those of the policy ``bound`` picks.
+_BOUNDS = {"fixed": FixedBound, "pdb": PdbBound, "pidb": PidbBound}
+_DEFAULT_BOUND = "pidb"
+_STATE_KEYWORDS = _keywords(SmCgState)
+_SMCG_PARAMETERS = {
+    bound: {"bound": _DEFAULT_BOUND, **_STATE_KEYWORDS, **_keywords(cls)}
+    for bound, cls in _BOUNDS.items()
+}
+_KIND_PARAMETERS = {
+    "sg": _keywords(FrostSg),
+    "rls": _keywords(ConstrainedRls),
+    "cg": _keywords(ConstrainedCg),
+    "mvdr": {},
+}
+
+# Accepted-snapshot fractions costed in the complexity table: the selective
+# algorithms at their observed rates, the data-selective CG at its reported
+# reuse rate; the projection order of sm-ap and ds-cg.
+_TAU = {
     "sm-sg": 0.198,
     "sm-rls": 0.063,
     "sm-ap": 0.137,
     "ds-cg": 0.221,
     "sm-cg": 0.06,
 }
+_PROJECTION_ORDER = 3
 
 PRESET_NAMES = ("fig4", "fig5", "fig6", "fig8", "fig9")
 
@@ -131,14 +148,18 @@ class ExperimentConfig:
     algorithms: tuple[AlgoSpec, ...] = ()
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(f.default, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.m < 1:
             raise ConfigError("m must be at least 1")
         if not self.spacing_wavelengths > 0.0:
             raise ConfigError("spacing_wavelengths must be positive")
+        if self.gamma == 0.0:
+            raise ConfigError("gamma must be non-zero")
         if not self.noise_power > 0.0:
             raise ConfigError("noise_power must be positive")
-        if not math.isfinite(self.snr_db) or not math.isfinite(self.inr_db):
-            raise ConfigError("snr_db and inr_db must be finite")
         if not 0.0 <= self.desired_doa_deg <= 180.0:
             raise ConfigError("desired_doa_deg must lie in [0, 180]")
         if not 0.0 <= self.doa_min_deg < self.doa_max_deg <= 180.0:
@@ -182,31 +203,34 @@ class ExperimentConfig:
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def _parameters(where: str, kind: str, bound: str) -> tuple[dict[str, object], str]:
+    """The parameters an entry of ``kind`` with ``bound`` takes, and their owner."""
+    if kind == "smcg":
+        if bound not in _SMCG_PARAMETERS:
+            raise ConfigError(f"{where}.bound {bound!r} unknown")
+        return _SMCG_PARAMETERS[bound], f"kind 'smcg' with bound {bound!r}"
+    if kind not in _KIND_PARAMETERS:
+        raise ConfigError(f"{where}.kind {kind!r} unknown")
+    return _KIND_PARAMETERS[kind], f"kind {kind!r}"
+
+
 def _validate_params(spec: AlgoSpec, m: int, gamma: float, noise_power: float) -> None:
     where = f"algorithms[{spec.label}]"
-    if spec.kind not in ALGO_KINDS:
-        raise ConfigError(f"{where}.kind {spec.kind!r} unknown")
-    if spec.kind == "smcg":
-        bound = spec.get("bound", "pidb")
-        if bound not in _BOUND_PARAMS:
-            raise ConfigError(f"{where}.bound {bound!r} unknown")
-        if bound == "fixed" and spec.get("delta") is None:
-            raise ConfigError(f"{where} fixed bound needs delta")
-        names = ("bound",) + _STATE_PARAMS + _BOUND_PARAMS[bound]
-        owner = f"kind 'smcg' with bound {bound!r}"
-    else:
-        names = _KIND_PARAMS[spec.kind]
-        owner = f"kind {spec.kind!r}"
+    names, owner = _parameters(where, spec.kind, spec.get("bound", _DEFAULT_BOUND))
     for key, value in spec.params:
         if key not in names:
             raise ConfigError(f"{where}.{key} is not a parameter of {owner}")
-        if key == "bound":
-            continue
-        if key in _FLAGS:
+        default = names[key]
+        if isinstance(default, str):
+            continue  # the bound, checked above
+        if isinstance(default, bool):
             if not isinstance(value, bool):
                 raise ConfigError(f"{where}.{key} must be true or false, got {value!r}")
         elif isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
             raise ConfigError(f"{where}.{key} must be a finite number, got {value!r}")
+    for key, default in names.items():
+        if default is _REQUIRED and spec.get(key) is None:
+            raise ConfigError(f"{where} {owner} needs {key}")
     # the constructors check the ranges; any valid steering vector will do
     try:
         _ENTRIES[spec.kind](spec, np.ones(m, dtype=complex), gamma, noise_power)
@@ -282,13 +306,13 @@ class _Entry:
 class _SmCgEntry(_Entry):
     def __init__(self, spec: AlgoSpec, a0: np.ndarray, gamma: float, noise_power: float) -> None:
         params = dict(spec.params)
-        bound = params.pop("bound", "pidb")
-        state_params = {k: params.pop(k) for k in _STATE_PARAMS if k in params}
+        policy = _BOUNDS[params.pop("bound", _DEFAULT_BOUND)]
+        state_params = {k: params.pop(k) for k in _STATE_KEYWORDS if k in params}
         self.state = SmCgState(a0, gamma=gamma, **state_params)
-        if bound == "fixed":
+        if policy is FixedBound:
             self.policy = FixedBound(**params)
         else:
-            self.policy = _BOUND_POLICIES[bound](self.state.w, noise_power, **params)
+            self.policy = policy(self.state.w, noise_power, **params)
         self.a0 = a0
         self.noise_power = noise_power
 
@@ -516,30 +540,21 @@ def emit_csv(result: AggregateResult, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def emit_complexity_table(
-    path,
-    m_values,
-    n_snapshots: int = 1000,
-    projection_order: int = 3,
-    tau_map: dict[str, float] | None = None,
-) -> None:
+def emit_complexity_table(path, m_values, n_snapshots: int = 1000) -> None:
     """Write per-run operation counts for every algorithm family."""
     from .metrics import COMPLEXITY_ALGORITHMS
 
-    taus = dict(DEFAULT_TAU)
-    if tau_map:
-        taus.update(tau_map)
     lines = ["m,algorithm,update_fraction,projection_order,additions,multiplications"]
     for m in m_values:
         for name in COMPLEXITY_ALGORITHMS:
-            tau = taus.get(name)
+            tau = _TAU.get(name)
             adds, mults = complexity_counts(
                 name, m, n_snapshots,
                 update_fraction=tau,
-                projection_order=projection_order,
+                projection_order=_PROJECTION_ORDER,
             )
             tau_s = f"{tau:.9g}" if tau is not None else ""
-            l_s = str(projection_order) if name in ("sm-ap", "ds-cg") else ""
+            l_s = str(_PROJECTION_ORDER) if name in ("sm-ap", "ds-cg") else ""
             lines.append(f"{m},{name},{tau_s},{l_s},{adds:.9g},{mults:.9g}")
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -636,56 +651,60 @@ def preset(name: str, runs: int | None = None, master_seed: int | None = None):
     table = presets()
     if name not in table:
         raise ConfigError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
-    configs = table[name]
-    if runs is not None or master_seed is not None:
-        kwargs = {}
-        if runs is not None:
-            kwargs["runs"] = runs
-        if master_seed is not None:
-            kwargs["master_seed"] = master_seed
-        configs = tuple(replace(c, **kwargs) for c in configs)
-    return configs
+    return with_runs_and_seed(table[name], runs, master_seed)
+
+
+def with_runs_and_seed(configs, runs: int | None = None, master_seed: int | None = None):
+    """``configs`` with ``runs`` and ``master_seed`` replaced where given."""
+    given = {"runs": runs, "master_seed": master_seed}
+    overrides = {key: value for key, value in given.items() if value is not None}
+    return tuple(replace(c, **overrides) for c in configs)
 
 
 # --- flat key/value config files -------------------------------------------
 
-_SCENARIO_KEYS = {
-    "m": int,
-    "spacing_wavelengths": float,
-    "gamma": float,
-    "noise_power": float,
-    "snr_db": float,
-    "inr_db": float,
-    "desired_doa_deg": float,
-    "doa_min_deg": float,
-    "doa_max_deg": float,
-    "doa_guard_deg": float,
-    "n_snapshots": int,
+# [run] holds these fields and [scenario] the other ones but ``algorithms``;
+# each key's type is its field's default's.
+_RUN_FIELDS = ("label", "runs", "master_seed")
+_SECTION_FIELDS = {
+    "run": {f.name: f.default for f in fields(ExperimentConfig) if f.name in _RUN_FIELDS},
+    "scenario": {
+        f.name: f.default
+        for f in fields(ExperimentConfig)
+        if f.name not in _RUN_FIELDS + ("algorithms",)
+    },
 }
-_RUN_KEYS = {"label": str, "runs": int, "master_seed": int}
 
 
-def _parse_value(text: str):
-    low = text.strip()
-    if low.lower() in ("true", "false"):
-        return low.lower() == "true"
-    try:
-        return int(low)
-    except ValueError:
-        pass
-    try:
-        return float(low)
-    except ValueError:
-        pass
-    return low
-
-
-def _format_value(value) -> str:
+def _to_text(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.9g}"
-    return str(value)
+    if isinstance(value, tuple):
+        return ",".join(f"{start}:{q}" for start, q in value)
+    # repr keeps every digit, so the value reads back equal and the digest holds
+    return repr(float(value)) if isinstance(value, float) else str(value)
+
+
+def _from_text(where: str, text: str, default):
+    """``text`` as a value of ``default``'s type, a number if there is none.
+
+    The one tuple-valued key is ``epochs``. Raises :class:`ConfigError`
+    naming ``where`` when ``text`` is not a value of that type.
+    """
+    text = text.strip()
+    if isinstance(default, tuple):
+        return _parse_epochs(text)
+    if isinstance(default, bool):
+        if text.lower() not in ("true", "false"):
+            raise ConfigError(f"{where} must be true or false, got {text!r}")
+        return text.lower() == "true"
+    if isinstance(default, str):
+        return text
+    kind, noun = (int, "an integer") if isinstance(default, int) else (float, "a number")
+    try:
+        return kind(text)
+    except ValueError as exc:
+        raise ConfigError(f"{where} must be {noun}, got {text!r}") from exc
 
 
 def _parse_epochs(text: str) -> tuple[tuple[int, int], ...]:
@@ -706,38 +725,28 @@ def _parse_epochs(text: str) -> tuple[tuple[int, int], ...]:
 
 def config_to_sections(config: ExperimentConfig) -> dict[str, dict[str, str]]:
     """Flatten a configuration into config-file sections."""
-    scenario = {key: _format_value(getattr(config, key)) for key in _SCENARIO_KEYS}
-    scenario["epochs"] = ",".join(f"{s}:{q}" for s, q in config.epochs)
     sections = {
-        "run": {
-            "label": config.label,
-            "runs": str(config.runs),
-            "master_seed": str(config.master_seed),
-        },
-        "scenario": scenario,
+        section: {key: _to_text(getattr(config, key)) for key in keys}
+        for section, keys in _SECTION_FIELDS.items()
     }
     for spec in config.algorithms:
         body = {"kind": spec.kind}
-        body.update({k: _format_value(v) for k, v in spec.params})
+        body.update({k: _to_text(v) for k, v in spec.params})
         sections[f"algo:{spec.label}"] = body
     return sections
 
 
 def sections_to_config(sections: dict[str, dict[str, str]]) -> ExperimentConfig:
     """Build a configuration from config-file sections."""
+    for name in sections:
+        if name not in _SECTION_FIELDS and not name.startswith("algo:"):
+            raise ConfigError(f"section [{name}] is not run, scenario or algo:<label>")
     kwargs: dict[str, object] = {}
-    run_sec = sections.get("run", {})
-    for key, conv in _RUN_KEYS.items():
-        if key in run_sec:
-            kwargs[key] = conv(run_sec[key])
-    scen = sections.get("scenario", {})
-    for key, raw in scen.items():
-        if key == "epochs":
-            kwargs["epochs"] = _parse_epochs(raw)
-        elif key in _SCENARIO_KEYS:
-            kwargs[key] = _SCENARIO_KEYS[key](raw)
-        else:
-            raise ConfigError(f"scenario.{key} is not a recognised key")
+    for section, defaults in _SECTION_FIELDS.items():
+        for key, text in sections.get(section, {}).items():
+            if key not in defaults:
+                raise ConfigError(f"{section}.{key} is not a recognised key")
+            kwargs[key] = _from_text(f"{section}.{key}", text, defaults[key])
     specs = []
     for name, body in sections.items():
         if not name.startswith("algo:"):
@@ -745,7 +754,15 @@ def sections_to_config(sections: dict[str, dict[str, str]]) -> ExperimentConfig:
         label = name.split(":", 1)[1]
         if "kind" not in body:
             raise ConfigError(f"algo:{label} is missing 'kind'")
-        params = {k: _parse_value(v) for k, v in body.items() if k != "kind"}
+        where = f"algorithms[{label}]"
+        bound = body.get("bound", _DEFAULT_BOUND).strip()
+        names, _ = _parameters(where, body["kind"], bound)
+        # a key the kind does not take is kept as text for validate to name
+        params = {
+            key: _from_text(f"{where}.{key}", text, names[key]) if key in names else text
+            for key, text in body.items()
+            if key != "kind"
+        }
         specs.append(algo(label, body["kind"], **params))
     if specs:
         kwargs["algorithms"] = tuple(specs)

@@ -10,8 +10,6 @@ variant and the data-selective CG also depend on a projection order
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .arrays import Scenario, desired_covariance, interference_covariance
@@ -69,36 +67,6 @@ def output_sinr(w: np.ndarray, scenario: Scenario, i: int) -> float:
         w, desired_covariance(scenario, i), interference_covariance(scenario, i)
     )
     return 10.0 * np.log10(ratio)
-
-
-@dataclass
-class RunTrace:
-    """Per-snapshot history of one algorithm over one simulation run."""
-
-    label: str
-    sinr_db: np.ndarray
-    y_abs_sq: np.ndarray
-    delta: np.ndarray
-    lambda1: np.ndarray
-    updated: np.ndarray
-    max_constraint_error: float
-
-    @property
-    def n(self) -> int:
-        return self.sinr_db.size
-
-    @property
-    def update_count(self) -> int:
-        return int(self.updated.sum())
-
-    @property
-    def final_sinr_db(self) -> float:
-        return float(self.sinr_db[-1])
-
-
-def update_rate(trace: RunTrace) -> float:
-    """Fraction of snapshots that triggered a state update."""
-    return trace.update_count / trace.n
 
 
 COMPLEXITY_ALGORITHMS = (

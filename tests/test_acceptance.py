@@ -30,8 +30,8 @@ import numpy as np
 import pytest
 from reference import bisect_roots, boundary_taus, random_instance
 
+from smcgbeam import harness
 from smcgbeam.arrays import generate_snapshot, steering_vector
-from smcgbeam.bounds import PidbBound
 from smcgbeam.harness import (
     ExperimentConfig,
     algo,
@@ -41,7 +41,7 @@ from smcgbeam.harness import (
     run_experiment,
 )
 from smcgbeam.metrics import COMPLEXITY_ALGORITHMS, complexity_counts
-from smcgbeam.smcg import SmCgState, lambda1_root
+from smcgbeam.smcg import lambda1_root
 
 # hand-computed operation counts at m=16, N=1000, accept fraction 0.06, L=3
 EXPECTED_COUNTS = {
@@ -121,26 +121,13 @@ def test_criterion_2_forgetting_factor_matches_bisection_oracle():
 def test_criterion_3_conjugacy_and_step_size_sandwich():
     (cfg,) = preset("fig6")
     spec = next(s for s in cfg.algorithms if s.kind == "smcg")
-    eta = spec.get("eta")
-    assert eta == 0.5
     rng = np.random.default_rng(cfg.master_seed ^ 0)
     scenario = build_scenario(cfg, rng)
     a0 = steering_vector(scenario.geometry, scenario.desired_doa_deg)
-    state = SmCgState(
-        a0,
-        gamma=scenario.gamma,
-        eta=eta,
-        lambda1_min=spec.get("lambda1_min", 0.1),
-        lambda1_max=spec.get("lambda1_max", 0.999),
-        r_hat_init=spec.get("r_hat_init", 1e-2),
-    )
-    policy = PidbBound(
-        state.w,
-        scenario.noise_power,
-        rho=spec.get("rho", 0.98),
-        varsigma=spec.get("varsigma", 19.0),
-        epsilon=spec.get("epsilon", 1e-3),
-    )
+    # the filter exactly as the preset runs it
+    entry = harness._SmCgEntry(spec, a0, scenario.gamma, scenario.noise_power)
+    state, policy = entry.state, entry.policy
+    assert state.eta == 0.5
     updates = 0
     skipped_precondition = 0
     worst_conjugacy = 0.0

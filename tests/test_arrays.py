@@ -8,7 +8,6 @@ from smcgbeam.arrays import (
     ArrayGeometry,
     Scenario,
     Source,
-    active_sources,
     desired_covariance,
     epoch_index,
     generate_snapshot,
@@ -110,15 +109,12 @@ class TestScenarioValidation:
 
 
 class TestEpochs:
-    def test_epoch_index_and_active_sources(self):
+    def test_epoch_index(self):
         sc = make_scenario()
         assert epoch_index(sc, 1) == 0
         assert epoch_index(sc, 40) == 0
         assert epoch_index(sc, 41) == 1
         assert epoch_index(sc, 80) == 1
-        assert len(active_sources(sc, 40)) == 3
-        assert len(active_sources(sc, 41)) == 4
-        assert active_sources(sc, 41)[0].doa_deg == 90.0
 
     def test_epoch_index_rejects_out_of_range(self):
         sc = make_scenario()

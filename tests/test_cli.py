@@ -96,6 +96,25 @@ class TestRun:
         assert f"error: {field}" in capsys.readouterr().err
         assert not (tmp_path / "fig4.csv").exists()
 
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ("scenario.m=abc", "scenario.m must be an integer, got 'abc'"),
+            ("run.runs=x", "run.runs must be an integer, got 'x'"),
+            ("scenario.snr_db=ten", "scenario.snr_db must be a number, got 'ten'"),
+        ],
+    )
+    def test_unparsable_value_exits_2_naming_it(self, tmp_path, capsys, override, message):
+        rc = main(
+            [
+                "run", "--preset", "fig4", "--runs", "1", "--out", str(tmp_path),
+                "--set", "scenario.n_snapshots=20", "--set", override,
+            ]
+        )
+        assert rc == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "fig4.csv").exists()
+
     def test_divergence_exits_1_with_context(self, tmp_path, capsys):
         # unnormalized SG with a huge step blows up within a few snapshots
         sections = {

@@ -143,6 +143,11 @@ class TestValidation:
                 r"algorithms\[x\]\.lambda1_min must not exceed",
                 id="empty-clamp",
             ),
+            (dict(noise_power=float("inf")), "noise_power must be finite"),
+            (dict(doa_guard_deg=float("nan")), "doa_guard_deg must be finite"),
+            (dict(gamma=0.0), "gamma must be non-zero"),
+            (dict(gamma=float("nan")), "gamma must be finite"),
+            (dict(gamma=float("inf")), "gamma must be finite"),
         ],
     )
     def test_each_bad_field_is_named(self, kw, match):
@@ -374,6 +379,20 @@ class TestConfigFiles:
         with pytest.raises(ConfigError, match="scenario.mystery"):
             sections_to_config(sections)
 
+    def test_unknown_run_key(self):
+        with pytest.raises(ConfigError, match="run.run is not a recognised key"):
+            sections_to_config({"run": {"run": "3"}, "algo:rls": {"kind": "rls"}})
+
+    def test_unknown_section(self):
+        with pytest.raises(ConfigError, match=r"section \[scenaro\] is not"):
+            sections_to_config({"scenaro": {"m": "4"}, "algo:rls": {"kind": "rls"}})
+
+    def test_round_trip_keeps_every_preset_digest(self):
+        for configs in presets().values():
+            for cfg in configs:
+                back = sections_to_config(config_to_sections(cfg))
+                assert back.digest() == cfg.digest(), cfg.label
+
     def test_algo_section_requires_kind(self):
         with pytest.raises(ConfigError, match="algo:x is missing"):
             sections_to_config({"algo:x": {"eta": "0.5"}})
@@ -430,12 +449,3 @@ class TestEmitters:
         assert "16,rls,,,1007000,1359000" in lines
         assert "16,sm-sg,0.198,,41504,50266" in lines
         assert "16,sm-ap,0.137,3,58208,69880" in lines
-
-    def test_complexity_table_custom_tau(self, tmp_path):
-        path = tmp_path / "c.csv"
-        emit_complexity_table(path, (8,), tau_map={"sm-cg": 0.5})
-        row = next(
-            line for line in path.read_text().splitlines()
-            if line.startswith("8,sm-cg")
-        )
-        assert row.split(",")[2] == "0.5"

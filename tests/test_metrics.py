@@ -10,12 +10,10 @@ import pytest
 from smcgbeam.arrays import ArrayGeometry, Scenario, Source, steering_vector
 from smcgbeam.metrics import (
     COMPLEXITY_ALGORITHMS,
-    RunTrace,
     complexity_counts,
     constraint_error_rows,
     output_sinr,
     sinr_linear,
-    update_rate,
 )
 
 # hand-computed counts at m=16, N=1000, update fraction 0.06, order 3
@@ -122,23 +120,6 @@ class TestBatchedForms:
         errs = [abs(np.vdot(w, steering) - 2.0) for w in finite]
         got_errs = constraint_error_rows(finite, steering, 2.0)
         assert got_errs.tobytes() == np.array(errs).tobytes()
-
-
-class TestRunTrace:
-    def test_properties(self):
-        trace = RunTrace(
-            label="x",
-            sinr_db=np.array([1.0, 2.0, 3.0, 4.0]),
-            y_abs_sq=np.zeros(4),
-            delta=np.zeros(4),
-            lambda1=np.zeros(4),
-            updated=np.array([True, False, True, False]),
-            max_constraint_error=0.0,
-        )
-        assert trace.n == 4
-        assert trace.update_count == 2
-        assert trace.final_sinr_db == 4.0
-        assert update_rate(trace) == 0.5
 
 
 class TestComplexityCounts:
