@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -110,16 +109,23 @@ class Scenario:
                 )
             if sources[0].doa_deg != doa0:
                 raise ValueError("desired arrival angle must not change")
-        # generate_snapshot looks the epoch data up per snapshot; these keep
-        # that lookup from re-hashing every field and re-listing the starts
+        # generate_snapshot and the covariance helpers read these per
+        # snapshot, so each epoch's tables are built once, here
+        m = self.geometry.n_sensors
+        tables = []
+        for _, sources in self.epochs:
+            mat = np.column_stack([steering_vector(self.geometry, s.doa_deg) for s in sources])
+            powers = np.array([s.power for s in sources])
+            a0 = mat[:, 0]
+            desired = powers[0] * np.outer(a0, a0.conj())
+            rest = mat[:, 1:]
+            interference = (rest * powers[1:]) @ rest.conj().T if rest.size else np.zeros((m, m))
+            tables.append(
+                (mat, np.sqrt(powers), desired, interference + self.noise_power * np.eye(m))
+            )
         object.__setattr__(self, "_starts", tuple(starts))
-        object.__setattr__(
-            self, "_hash",
-            hash((self.geometry, self.epochs, self.noise_power, self.n_snapshots, self.gamma)),
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
+        object.__setattr__(self, "_epoch_tables", tuple(tables))
+        object.__setattr__(self, "_noise_scale", np.sqrt(self.noise_power / 2.0))
 
     @property
     def desired_doa_deg(self) -> float:
@@ -164,16 +170,6 @@ def epoch_index(scenario: Scenario, i: int) -> int:
     return bisect_right(scenario._starts, i) - 1
 
 
-@lru_cache(maxsize=256)
-def _epoch_sources(scenario: Scenario, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Steering matrix (one column per source) and amplitudes of epoch ``k``."""
-    sources = scenario.epochs[k][1]
-    mat = np.column_stack(
-        [steering_vector(scenario.geometry, s.doa_deg) for s in sources]
-    )
-    return mat, np.sqrt([s.power for s in sources])
-
-
 def generate_snapshot(scenario: Scenario, i: int, rng: np.random.Generator) -> Snapshot:
     """Draw one received vector ``r = A s + n`` at snapshot ``i``.
 
@@ -181,38 +177,25 @@ def generate_snapshot(scenario: Scenario, i: int, rng: np.random.Generator) -> S
     then the noise vector, so a generator with a fixed seed reproduces the
     identical snapshot.
     """
-    mat, amps = _epoch_sources(scenario, epoch_index(scenario, i))
+    mat, amps, _, _ = scenario._epoch_tables[epoch_index(scenario, i)]
     symbols = 2.0 * rng.integers(0, 2, size=mat.shape[1]) - 1.0
-    m = scenario.geometry.n_sensors
-    scale = np.sqrt(scenario.noise_power / 2.0)
-    noise = scale * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
-    r = mat @ (amps * symbols) + noise
+    m = len(mat)
+    noise = rng.standard_normal(2 * m)  # real parts first: the stream of two m-draws
+    r = mat @ (amps * symbols) + scenario._noise_scale * (noise[:m] + 1j * noise[m:])
     return Snapshot(index=i, r=r, desired_symbol=complex(symbols[0]))
-
-
-@lru_cache(maxsize=256)
-def _epoch_covariances(scenario: Scenario, k: int) -> tuple[np.ndarray, np.ndarray]:
-    mat = _epoch_sources(scenario, k)[0]
-    powers = np.array([s.power for s in scenario.epochs[k][1]])
-    a0 = mat[:, 0]
-    desired = powers[0] * np.outer(a0, a0.conj())
-    m = scenario.geometry.n_sensors
-    rest = mat[:, 1:]
-    interference = (rest * powers[1:]) @ rest.conj().T if rest.size else np.zeros((m, m))
-    return desired, interference + scenario.noise_power * np.eye(m)
 
 
 def desired_covariance(scenario: Scenario, i: int) -> np.ndarray:
     """Analytic desired-signal covariance of the epoch active at ``i``."""
-    return _epoch_covariances(scenario, epoch_index(scenario, i))[0]
+    return scenario._epoch_tables[epoch_index(scenario, i)][2]
 
 
 def interference_covariance(scenario: Scenario, i: int) -> np.ndarray:
     """Analytic interference-plus-noise covariance at snapshot ``i``."""
-    return _epoch_covariances(scenario, epoch_index(scenario, i))[1]
+    return scenario._epoch_tables[epoch_index(scenario, i)][3]
 
 
 def total_covariance(scenario: Scenario, i: int) -> np.ndarray:
     """Analytic full received covariance at snapshot ``i``."""
-    desired, rest = _epoch_covariances(scenario, epoch_index(scenario, i))
+    _, _, desired, rest = scenario._epoch_tables[epoch_index(scenario, i)]
     return desired + rest

@@ -78,6 +78,14 @@ class FrostSg:
         return y
 
 
+class NonFiniteUpdate(FloatingPointError):
+    """An update produced non-finite values at row ``row`` of its block."""
+
+    def __init__(self, row: int) -> None:
+        super().__init__(f"inverse covariance update produced non-finite values at row {row}")
+        self.row = row
+
+
 class ConstrainedRls:
     """Exponentially-weighted least-squares beamformer.
 
@@ -103,16 +111,47 @@ class ConstrainedRls:
         self.forgetting = float(forgetting)
         self._inv = np.eye(steering.size, dtype=complex) / inv_init
         self.w = self.gamma * steering / np.vdot(steering, steering).real
+        # per-block buffers, grown to the longest block seen
+        self._invs = np.empty((0,) + self._inv.shape, dtype=complex)
+        self._ws = np.empty((0, steering.size), dtype=complex)
 
-    def step(self, r: np.ndarray) -> None:
-        qr = self._inv @ r
-        gain = qr / (self.forgetting + np.vdot(r, qr).real)
-        inv = (self._inv - gain[:, None] * qr.conj()) / self.forgetting
-        if not np.all(np.isfinite(inv.view(float))):
-            raise FloatingPointError("inverse covariance update produced non-finite values")
-        self._inv = 0.5 * (inv + inv.conj().T)  # keep the estimate Hermitian
-        x = self._inv @ self.steering
-        self.w = self.gamma * x / np.vdot(self.steering, x)
+    def step(self, rows: np.ndarray) -> tuple[np.ndarray, list[float]]:
+        """Advance the estimate over one snapshot, or over each row of a block.
+
+        Each row takes the rank-one update of the inverse covariance, kept
+        Hermitian, in turn. The weights after each row and the gate values
+        ``|w_{k-1}^H r_k|^2``, the output power each row meets, are then
+        formed for the whole block at once; they equal those of one update
+        at a time bit for bit. The weights are a view of a buffer that the
+        next call overwrites.
+
+        Raises :class:`NonFiniteUpdate`, naming the first row whose update
+        is not finite, and then leaves the state as it was before the call.
+        """
+        rows = np.atleast_2d(rows)
+        n, m = rows.shape
+        if len(self._invs) < n:
+            self._invs = np.empty((n, m, m), dtype=complex)
+            self._ws = np.empty((n + 1, m), dtype=complex)
+        invs, ws, lam = self._invs[:n], self._ws[: n + 1], self.forgetting
+        inv = self._inv
+        with np.errstate(all="ignore"):  # a non-finite tail is discarded below
+            for k, r in enumerate(rows):
+                qr = inv @ r
+                gain = qr / (lam + np.vdot(r, qr).real)
+                inv = (inv - gain[:, None] * qr.conj()) / lam
+                inv = np.multiply(0.5, inv + inv.conj().T, out=invs[k])
+            finite = np.isfinite(invs.view(float)).reshape(n, -1).all(axis=1)
+        if not finite.all():
+            raise NonFiniteUpdate(int(np.argmin(finite)))
+        x = invs @ self.steering
+        ws[0] = self.w
+        np.divide(self.gamma * x, np.vecdot(self.steering, x)[:, None], out=ws[1:])
+        y = np.vecdot(ws[:n], rows)
+        self._inv = inv.copy()
+        self.w = ws[n].copy()
+        # squared one by one: the scalar power rounds unlike an array's square
+        return ws[1:], [h ** 2 for h in np.hypot(y.real, y.imag).tolist()]
 
 
 class ConstrainedCg:

@@ -10,14 +10,17 @@ bit-for-bit:
    candidate, candidates inside the guard band drawn again);
 2. then, for each snapshot in order, the BPSK symbols of the sources
    active in its epoch (``integers(0, 2, size=q)``, desired source first),
-   then the real and then the imaginary part of the noise
-   (``standard_normal(m)`` each).
+   then the noise in one ``standard_normal(2m)`` call, the real parts
+   first. That call draws the same numbers as two ``standard_normal(m)``
+   calls, real then imaginary, so the stream is that of earlier versions.
 
 Nothing else draws from it: the algorithms are deterministic, so every
 entry of the roster sees the identical snapshot stream within a run and
 adding or removing one changes no other entry's trace. The engine draws
 each snapshot with ``generate_snapshot``, in order, into a block of at
-most ``_BLOCK`` snapshots that lies in one epoch.
+most ``_BLOCK`` snapshots that lies in one epoch. Each entry then runs
+through the block: the gated filters, SG and CG one snapshot per step,
+RLS the whole block in one call.
 
 Per-snapshot SINR is evaluated against the analytic epoch covariances and
 averaged across runs in the linear domain; update rates are averaged as
@@ -45,7 +48,7 @@ from .arrays import (
     steering_vector,
     total_covariance,
 )
-from .baselines import ConstrainedCg, ConstrainedRls, FrostSg, mvdr_weights
+from .baselines import ConstrainedCg, ConstrainedRls, FrostSg, NonFiniteUpdate, mvdr_weights
 from .bounds import FixedBound, PdbBound, PidbBound
 from .metrics import complexity_counts, constraint_error_rows, sinr_linear
 from .smcg import SmCgState
@@ -105,7 +108,7 @@ class ConfigError(ValueError):
 
 
 class RunDivergedError(RuntimeError):
-    """A run produced non-finite values and was aborted."""
+    """A run produced non-finite values, or a filter step failed, and was aborted."""
 
 
 @dataclass(frozen=True)
@@ -288,7 +291,7 @@ def build_scenario(config: ExperimentConfig, rng: np.random.Generator) -> Scenar
 
 
 class _StepDiverged(Exception):
-    """A filter step failed; carries what went non-finite and the snapshot."""
+    """A filter step failed; carries what went wrong and the snapshot."""
 
 
 class _Entry:
@@ -297,6 +300,7 @@ class _Entry:
     ``run`` advances the filter through one block of snapshots, all in one
     epoch, and writes per snapshot whether it updated, its bound, the gate
     magnitude ``|w^H r|^2`` and the post-step weights into the given rows.
+    A ``ValueError`` out of a step becomes :class:`_StepDiverged`.
     """
 
     def start_epoch(self, scenario: Scenario, i: int) -> None:
@@ -324,7 +328,10 @@ class _SmCgEntry(_Entry):
             y = np.vdot(w, r)
             update(a0, r, y, w, noise_power)
             delta = policy.delta
-            upd[k] = state.step(r, delta, y).updated
+            try:
+                upd[k] = state.step(r, delta, y).updated
+            except ValueError as exc:
+                raise _StepDiverged(str(exc), first + k) from exc
             dlt[k] = delta
             y2[k] = abs(y) ** 2
             w_out[k] = state.w
@@ -347,15 +354,11 @@ class _RlsEntry(_Entry):
         self.algo = ConstrainedRls(a0, gamma=gamma, **dict(spec.params))
 
     def run(self, block, first, upd, dlt, y2, w_out) -> None:
-        algo = self.algo
         upd[:] = True
-        for k, r in enumerate(block):
-            y2[k] = abs(np.vdot(algo.w, r)) ** 2
-            try:
-                algo.step(r)
-            except FloatingPointError as exc:
-                raise _StepDiverged("inverse covariance", first + k) from exc
-            w_out[k] = algo.w
+        try:
+            w_out[: len(block)], y2[:] = self.algo.step(block)
+        except NonFiniteUpdate as exc:
+            raise _StepDiverged("non-finite inverse covariance", first + exc.row) from exc
 
 
 class _CgEntry(_Entry):
@@ -365,7 +368,10 @@ class _CgEntry(_Entry):
     def run(self, block, first, upd, dlt, y2, w_out) -> None:
         algo = self.algo
         for k, r in enumerate(block):
-            res = algo.step(r)
+            try:
+                res = algo.step(r)
+            except ValueError as exc:
+                raise _StepDiverged(str(exc), first + k) from exc
             upd[k] = res.updated
             y2[k] = abs(res.y) ** 2
             w_out[k] = algo.w
@@ -442,7 +448,7 @@ def _single_run(config, scenario, rng, a0, run=0):
                 except _StepDiverged as exc:
                     what, snapshot = exc.args
                     raise RunDivergedError(
-                        f"run {run}: non-finite {what} for algorithm "
+                        f"run {run}: {what} for algorithm "
                         f"{config.algorithms[j].label!r} at snapshot {snapshot}"
                     ) from exc
                 fresh = upd.copy()
@@ -527,17 +533,26 @@ def run_experiment(config: ExperimentConfig) -> AggregateResult:
 
 
 def emit_csv(result: AggregateResult, path) -> None:
-    """Write the aggregate as CSV, one row per (snapshot, algorithm)."""
-    lines = ["snapshot,algorithm,mean_sinr_db,mean_delta,update_rate_cum"]
-    for i in range(result.n_snapshots):
-        for lab in result.algorithms:
-            lines.append(
-                f"{i + 1},{lab},{result.mean_sinr_db[lab][i]:.9g},"
-                f"{result.mean_delta[lab][i]:.9g},"
-                f"{result.update_rate_cum[lab][i]:.9g}"
-            )
+    """Write the aggregate as CSV, one row per (snapshot, algorithm).
+
+    Rows are formatted from plain floats and written ``_BLOCK`` snapshots
+    at a time, so the text is never held whole.
+    """
+    n = result.n_snapshots
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("snapshot,algorithm,mean_sinr_db,mean_delta,update_rate_cum\n")
+        for first in range(0, n, _BLOCK):
+            cols = slice(first, min(first + _BLOCK, n))
+            columns = [
+                (lab, result.mean_sinr_db[lab][cols].tolist(),
+                 result.mean_delta[lab][cols].tolist(), result.update_rate_cum[lab][cols].tolist())
+                for lab in result.algorithms
+            ]
+            fh.write("".join(
+                f"{first + k + 1},{lab},{sinr[k]:.9g},{delta[k]:.9g},{rate[k]:.9g}\n"
+                for k in range(cols.stop - first)
+                for lab, sinr, delta, rate in columns
+            ))
 
 
 def emit_complexity_table(path, m_values, n_snapshots: int = 1000) -> None:

@@ -15,12 +15,13 @@ rank-one-updated covariance estimate:
     w       : gamma * v / (a0^H v)
 
 The forgetting factor is chosen so that the post-update solution lands on
-the boundary of the constraint set, i.e. ``|v^H r|^2 = delta^2 |v^H a0|^2``
-with ``v`` evaluated along the line search. Writing that condition with the
-pre-update covariance gives a real quadratic in lambda1; its root is
-returned through the sign-normalised ratio form (phases of the two complex
-affine forms divided out at the solution), which is exact whenever the
-quadratic has a real root. A gate that cannot be met by any admissible
+the boundary of the constraint set, ``|w^H r| = delta``, i.e.
+``|v^H r|^2 = (delta / |gamma|)^2 |v^H a0|^2`` with ``v`` evaluated along
+the line search. Writing that condition with the pre-update covariance
+gives a real quadratic in lambda1; its root is returned through the
+sign-normalised ratio form (phases of the two complex affine forms divided
+out at the solution), which is exact whenever the quadratic has a real
+root. A gate that cannot be met by any admissible
 forgetting factor is reported as degenerate and the caller falls back to
 the upper clamp.
 """
@@ -140,7 +141,7 @@ class SmCgState:
     Parameters
     ----------
     steering : numpy.ndarray
-        Array response of the protected direction.
+        Array response of the protected direction, at least 2 entries.
     gamma : float
         Constrained response gain.
     eta : float
@@ -162,8 +163,13 @@ class SmCgState:
         r_hat_init: float = R_HAT_INIT_DEFAULT,
     ) -> None:
         steering = np.asarray(steering, dtype=complex)
-        if steering.ndim != 1 or steering.size < 1:
-            raise ValueError("steering must be a non-empty vector")
+        if steering.ndim != 1:
+            raise ValueError("steering must be a vector")
+        if steering.size < 2:
+            raise ValueError(
+                "steering must have at least 2 entries: one sensor leaves no "
+                "direction conjugate to p"
+            )
         if not np.all(np.isfinite(steering.view(float))):
             raise ValueError("steering must be finite")
         norm_sq = np.vdot(steering, steering).real
@@ -208,12 +214,16 @@ class SmCgState:
     def compute_lambda1(self, r: np.ndarray, delta: float) -> float:
         """Clamped forgetting factor for an accepted snapshot.
 
-        A clamp of zero width pins the factor, so no root is solved.
+        The root is solved for ``delta / |gamma|``: the gate compares
+        ``|w^H r| = |gamma| |v^H r| / |v^H a0|`` with ``delta``, and the root
+        puts ``|v^H r| / |v^H a0|`` on its bound. A clamp of zero width pins
+        the factor, so no root is solved.
         """
         if self.lambda1_min == self.lambda1_max:
             return self.lambda1_max
         lam = lambda1_root(
-            self.v, self.g, self.p, self.r_hat, self.steering, r, delta, self.eta
+            self.v, self.g, self.p, self.r_hat, self.steering, r,
+            delta / abs(self.gamma), self.eta,
         )
         return min(max(lam, self.lambda1_min), self.lambda1_max)
 

@@ -89,3 +89,26 @@ def random_instance(rng, m):
         return None
     delta = float(y_mid * rng.uniform(0.7, 1.3))
     return v, g, p, r_hat, a0, r, delta, eta
+
+
+def rls_reference(a0, rows, gamma=1.0, forgetting=0.998, inv_init=1e-2):
+    """Constrained RLS one snapshot at a time, from scratch.
+
+    Yields, per row, the inverse covariance after the update, the weights
+    ``gamma Q a0 / (a0^H Q a0)`` and the gate value ``|w^H r|^2`` of the
+    weights the row met. Raises ``FloatingPointError`` at the first update
+    that is not finite.
+    """
+    inv = np.eye(a0.size, dtype=complex) / inv_init
+    w = gamma * a0 / np.vdot(a0, a0).real
+    for r in rows:
+        gate = abs(np.vdot(w, r)) ** 2
+        qr = inv @ r
+        gain = qr / (forgetting + np.vdot(r, qr).real)
+        new = (inv - gain[:, None] * qr.conj()) / forgetting
+        if not np.all(np.isfinite(new.view(float))):
+            raise FloatingPointError("non-finite inverse covariance")
+        inv = 0.5 * (new + new.conj().T)
+        x = inv @ a0
+        w = gamma * x / np.vdot(a0, x)
+        yield inv, w, gate

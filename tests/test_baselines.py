@@ -3,6 +3,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from reference import rls_reference
 
 from smcgbeam import smcg
 from smcgbeam.arrays import (
@@ -15,7 +16,13 @@ from smcgbeam.arrays import (
     steering_vector,
     total_covariance,
 )
-from smcgbeam.baselines import ConstrainedCg, ConstrainedRls, FrostSg, mvdr_weights
+from smcgbeam.baselines import (
+    ConstrainedCg,
+    ConstrainedRls,
+    FrostSg,
+    NonFiniteUpdate,
+    mvdr_weights,
+)
 from smcgbeam.metrics import sinr_linear
 
 
@@ -138,6 +145,49 @@ class TestConstrainedRls:
         algo.step(np.ones(4, dtype=complex))
         with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
             algo.step(np.full(4, np.nan, dtype=complex))
+
+    @pytest.mark.parametrize("gamma, forgetting, inv_init", [(1.0, 0.998, 1e-2), (-3.0, 1.0, 2450.0)])
+    def test_blocks_match_per_snapshot_reference(self, gamma, forgetting, inv_init):
+        """Block by block as the engine runs it, bit for bit with one update at a time.
+
+        The blocks split at 257 (a block boundary) and at 300, where the
+        scene gains two interferers; a one-row block is included.
+        """
+        geometry = ArrayGeometry(8)
+        desired, *interf = (Source(90.0, 10.0), Source(40.0, 1e3), Source(130.0, 1e3),
+                            Source(60.0, 1e3), Source(150.0, 1e3))
+        sc = Scenario(
+            geometry=geometry,
+            epochs=((1, (desired, *interf[:2])), (300, (desired, *interf))),
+            noise_power=1.0, n_snapshots=600,
+        )
+        rng = np.random.default_rng(9)
+        rows = np.array([generate_snapshot(sc, i, rng).r for i in range(1, 601)])
+        a0 = steering_vector(geometry, 90.0)
+        algo = ConstrainedRls(a0, gamma=gamma, forgetting=forgetting, inv_init=inv_init)
+        expected = rls_reference(a0, rows, gamma, forgetting, inv_init)
+        for first, stop in ((1, 257), (257, 300), (300, 301), (301, 556), (556, 601)):
+            weights, gates = algo.step(rows[first - 1 : stop - 1])
+            for w, gate in zip(weights, gates):
+                inv_ref, w_ref, gate_ref = next(expected)
+                assert w.tobytes() == w_ref.tobytes()
+                assert gate == gate_ref
+            assert algo._inv.tobytes() == inv_ref.tobytes()
+            assert algo.w.tobytes() == w_ref.tobytes()
+
+    def test_first_nonfinite_row_is_named_and_state_kept(self):
+        a0 = steering_vector(ArrayGeometry(4), 90.0)
+        rng = np.random.default_rng(3)
+        rows = rng.standard_normal((60, 4)) + 1j * rng.standard_normal((60, 4))
+        rows[37, 2] = np.inf
+        algo = ConstrainedRls(a0)
+        algo.step(rows[:5])
+        inv, w = algo._inv.copy(), algo.w.copy()
+        with pytest.raises(NonFiniteUpdate) as err:
+            algo.step(rows)
+        assert err.value.row == 37
+        npt.assert_array_equal(algo._inv, inv)
+        npt.assert_array_equal(algo.w, w)
 
     def test_validation(self):
         a0 = steering_vector(ArrayGeometry(4), 90.0)

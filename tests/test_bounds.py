@@ -8,6 +8,7 @@ import pytest
 from smcgbeam.arrays import ArrayGeometry, Scenario, Source, generate_snapshot, steering_vector
 from smcgbeam.baselines import mvdr_weights
 from smcgbeam.bounds import FixedBound, PdbBound, PidbBound, desired_direction_output
+from smcgbeam.smcg import SmCgState
 
 
 def test_desired_direction_output_is_plain_projection():
@@ -135,3 +136,33 @@ class TestPidb:
             PidbBound(w0, 1.0, epsilon=-1e-9)
         with pytest.raises(ValueError):
             PidbBound(w0, -1.0)
+
+
+@pytest.mark.parametrize("policy", [PdbBound, PidbBound])
+def test_cached_noise_floor_matches_uncached_formula(policy):
+    """Over a gated run with updates, the bound equals the formula recomputed
+    from ``w`` at every snapshot, bit for bit."""
+    m, rho, vs, eps, sigma2 = 6, 0.9, 21.0, 1e-3, 1.0
+    geometry = ArrayGeometry(m)
+    sources = (Source(90.0, 10.0), Source(48.0, 100.0), Source(126.0, 100.0))
+    sc = Scenario(geometry=geometry, epochs=((1, sources),), noise_power=sigma2,
+                  n_snapshots=600)
+    a0 = steering_vector(geometry, 90.0)
+    state = SmCgState(a0)
+    extra = {"epsilon": eps} if policy is PidbBound else {}
+    bound = policy(state.w, sigma2, rho=rho, varsigma=vs, **extra)
+    delta_ref, nu_ref = bound.delta, 0.0
+    rng = np.random.default_rng(4)
+    for i in range(1, sc.n_snapshots + 1):
+        r = generate_snapshot(sc, i, rng).r
+        w = state.w
+        y = np.vdot(w, r)
+        bound.update(a0, r, y, w, sigma2)
+        target = math.sqrt(vs * np.vdot(w, w).real * sigma2)
+        if policy is PidbBound:
+            nu_ref = rho * nu_ref + (1.0 - rho) * abs(desired_direction_output(a0, r) - y) ** 2
+            target = math.sqrt(eps * nu_ref) + target
+        delta_ref = rho * delta_ref + (1.0 - rho) * target
+        assert bound.delta == delta_ref
+        state.step(r, bound.delta, y)
+    assert 20 < state.update_count < sc.n_snapshots - 20

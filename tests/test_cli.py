@@ -115,6 +115,20 @@ class TestRun:
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "fig4.csv").exists()
 
+    def test_one_sensor_exits_2_naming_the_entry(self, tmp_path, capsys):
+        rc = main(
+            [
+                "run", "--preset", "fig6", "--runs", "1", "--out", str(tmp_path),
+                "--set", "scenario.m=1", "--set", "scenario.epochs=1:1",
+            ]
+        )
+        assert rc == 2
+        assert (
+            "error: algorithms[smcg].steering must have at least 2 entries: "
+            "one sensor leaves no direction conjugate to p"
+        ) in capsys.readouterr().err
+        assert not (tmp_path / "fig6.csv").exists()
+
     def test_divergence_exits_1_with_context(self, tmp_path, capsys):
         # unnormalized SG with a huge step blows up within a few snapshots
         sections = {

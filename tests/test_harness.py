@@ -148,6 +148,17 @@ class TestValidation:
             (dict(gamma=0.0), "gamma must be non-zero"),
             (dict(gamma=float("nan")), "gamma must be finite"),
             (dict(gamma=float("inf")), "gamma must be finite"),
+            pytest.param(
+                dict(m=1, epochs=((1, 1),), algorithms=(algo("x", "smcg"),)),
+                r"algorithms\[x\]\.steering must have at least 2 entries: "
+                "one sensor leaves no direction conjugate to p",
+                id="one-sensor-smcg",
+            ),
+            pytest.param(
+                dict(m=1, epochs=((1, 1),), algorithms=(algo("x", "cg"),)),
+                r"algorithms\[x\]\.steering must have at least 2 entries",
+                id="one-sensor-cg",
+            ),
         ],
     )
     def test_each_bad_field_is_named(self, kw, match):
@@ -293,6 +304,75 @@ class TestRunExperiment:
         assert str(err.value) == (
             "run 0: non-finite inverse covariance for algorithm 'rls' at snapshot 1"
         )
+
+    def test_nonfinite_rls_row_named_by_its_snapshot(self, monkeypatch):
+        """Row 37 of the block starting at 257 is snapshot 294."""
+        cfg = tiny_config(n_snapshots=600, runs=1, algorithms=(algo("rls", "rls"),))
+        draw = harness.generate_snapshot
+
+        def poisoned(scenario, i, rng):
+            snap = draw(scenario, i, rng)
+            return replace(snap, r=np.full_like(snap.r, np.nan)) if i == 257 + 37 else snap
+
+        monkeypatch.setattr(harness, "generate_snapshot", poisoned)
+        with pytest.raises(RunDivergedError) as err:
+            run_experiment(cfg)
+        assert str(err.value) == (
+            "run 0: non-finite inverse covariance for algorithm 'rls' at snapshot 294"
+        )
+
+    @pytest.mark.parametrize("kind", ["smcg", "cg"])
+    def test_failed_step_reported_with_context(self, monkeypatch, kind):
+        """A ValueError out of a step names the run, the algorithm and the snapshot."""
+        cfg = tiny_config(n_snapshots=300, runs=2, algorithms=(algo("x", kind),))
+        step = harness.SmCgState.step
+
+        def failing(self, r, delta, y=None):
+            if self.step_count == 279:
+                raise ValueError("covariance estimate lost positive definiteness")
+            return step(self, r, delta, y)
+
+        monkeypatch.setattr(harness.SmCgState, "step", failing)
+        with pytest.raises(RunDivergedError) as err:
+            run_experiment(cfg)
+        assert str(err.value) == (
+            "run 0: covariance estimate lost positive definiteness "
+            "for algorithm 'x' at snapshot 280"
+        )
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            dict(m=2, epochs=((1, 2),)),
+            dict(m=64),
+            dict(inr_db=-20.0),
+            dict(inr_db=60.0),
+            dict(snr_db=-30.0),
+            dict(snr_db=40.0),
+            dict(noise_power=1e-6),
+            dict(noise_power=1e6),
+            dict(gamma=-3.0),
+        ],
+        ids=lambda case: ",".join(f"{k}={v}" for k, v in case.items()),
+    )
+    def test_edge_scenarios_run_and_hold_the_constraint(self, case):
+        """Every kind, at its defaults, runs the edges of the scenario space."""
+        cfg = ExperimentConfig(
+            label="edge", n_snapshots=300, runs=2,
+            algorithms=tuple(algo(kind, kind) for kind in ("smcg", "sg", "rls", "cg", "mvdr")),
+            **case,
+        )
+        result = run_experiment(cfg)
+        for label, err in result.max_constraint_error.items():
+            assert err <= 1e-12, label
+
+    def test_one_sensor_runs_the_kinds_that_allow_it(self):
+        cfg = tiny_config(
+            m=1, epochs=((1, 1),),
+            algorithms=(algo("sg", "sg"), algo("rls", "rls"), algo("mvdr", "mvdr")),
+        )
+        result = run_experiment(cfg)
+        assert all(err <= 1e-12 for err in result.max_constraint_error.values())
 
     def test_snapshot_stream_contract(self, monkeypatch):
         """The engine draws exactly what successive generate_snapshot calls draw.

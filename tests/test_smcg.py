@@ -4,9 +4,21 @@ forgetting factor against an independent bisection root finder."""
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference import bisect_roots, boundary_gap, boundary_taus, random_instance
 
-from smcgbeam.arrays import ArrayGeometry, Scenario, Source, generate_snapshot, steering_vector
+from smcgbeam.arrays import (
+    ArrayGeometry,
+    Scenario,
+    Source,
+    desired_covariance,
+    generate_snapshot,
+    interference_covariance,
+    steering_vector,
+)
+from smcgbeam.bounds import FixedBound, PdbBound
+from smcgbeam.metrics import sinr_linear
 from smcgbeam.smcg import (
     DegenerateLambdaError,
     SmCgState,
@@ -203,7 +215,59 @@ class TestStateInvariants:
         npt.assert_array_equal(state.w, w_before)
 
 
+def _gated_run(sc, rows, gamma, policy):
+    """Drive a state built at ``gamma`` through ``rows`` under ``policy(state)``.
+
+    Returns per snapshot the gate decision, the output and the weights.
+    """
+    state = SmCgState(steering_vector(sc.geometry, 90.0), gamma=gamma, r_hat_init=1.0)
+    bound = policy(state)
+    updated, ys, ws = [], [], []
+    for r in rows:
+        y = np.vdot(state.w, r)
+        bound.update(state.steering, r, y, state.w, sc.noise_power)
+        updated.append(state.step(r, bound.delta, y).updated)
+        ys.append(y)
+        ws.append(state.w)
+    return np.array(updated), np.array(ys), np.array(ws)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    exponent=st.integers(-6, 6),
+    sign=st.sampled_from([1.0, -1.0]),
+    seed=st.integers(0, 2**16),
+    pdb=st.booleans(),
+)
+def test_scaling_gamma_scales_w_and_y_and_keeps_the_gate(exponent, sign, seed, pdb):
+    """Scaling gamma, and a fixed bound by |gamma|, scales w and y by gamma
+    and leaves every gate decision and the SINR unchanged; PDB scales its
+    bound with ``||w||`` by itself. Gamma is a signed power of two, which
+    scales every product exactly, so the property holds bit for bit."""
+    gamma = sign * 2.0 ** exponent
+    sc, rng = small_scenario(m=6, seed=seed, n=300)
+    rows = [generate_snapshot(sc, i, rng).r for i in range(1, sc.n_snapshots + 1)]
+
+    def policy(scale):
+        if pdb:
+            return lambda state: PdbBound(state.w, sc.noise_power)
+        return lambda state: FixedBound(1.5 * scale)
+
+    upd1, y1, w1 = _gated_run(sc, rows, 1.0, policy(1.0))
+    upd, y, w = _gated_run(sc, rows, gamma, policy(abs(gamma)))
+    assert upd1.sum() > 5
+    npt.assert_array_equal(upd, upd1)
+    npt.assert_array_equal(y, gamma * y1)
+    npt.assert_array_equal(w, gamma * w1)
+    des, rest = desired_covariance(sc, 1), interference_covariance(sc, 1)
+    npt.assert_array_equal(sinr_linear(w, des, rest), sinr_linear(w1, des, rest))
+
+
 class TestValidation:
+    def test_rejects_one_sensor_naming_the_cause(self):
+        with pytest.raises(ValueError, match="one sensor leaves no direction conjugate to p"):
+            SmCgState(np.ones(1, dtype=complex))
+
     def test_rejects_bad_eta(self):
         a0 = steering_vector(ArrayGeometry(4), 90.0)
         with pytest.raises(ValueError):
