@@ -9,7 +9,6 @@ operation-count model and a reproducible Monte-Carlo harness.
 from .arrays import (
     ArrayGeometry,
     Scenario,
-    Snapshot,
     Source,
     epoch_index,
     generate_snapshot,
@@ -36,17 +35,15 @@ from .harness import (
 from .metrics import (
     COMPLEXITY_ALGORITHMS,
     complexity_counts,
-    output_sinr,
     sinr_linear,
 )
-from .smcg import DegenerateLambdaError, SmCgState, StepResult, lambda1_root
+from .smcg import DegenerateLambdaError, SmCgState, lambda1_root
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ArrayGeometry",
     "Scenario",
-    "Snapshot",
     "Source",
     "epoch_index",
     "generate_snapshot",
@@ -74,11 +71,9 @@ __all__ = [
     "run_experiment",
     "COMPLEXITY_ALGORITHMS",
     "complexity_counts",
-    "output_sinr",
     "sinr_linear",
     "DegenerateLambdaError",
     "SmCgState",
-    "StepResult",
     "lambda1_root",
     "__version__",
 ]

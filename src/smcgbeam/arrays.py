@@ -75,15 +75,12 @@ class Scenario:
         Per-element complex noise variance.
     n_snapshots : int
         Total number of snapshots the scenario spans.
-    gamma : float
-        Distortionless-response gain protected by the beamformers.
     """
 
     geometry: ArrayGeometry
     epochs: tuple[tuple[int, tuple[Source, ...]], ...]
     noise_power: float
     n_snapshots: int
-    gamma: float = 1.0
 
     def __post_init__(self) -> None:
         if not self.noise_power > 0.0:
@@ -132,15 +129,6 @@ class Scenario:
         return self.epochs[0][1][0].doa_deg
 
 
-@dataclass(frozen=True)
-class Snapshot:
-    """One array observation: received vector plus generation bookkeeping."""
-
-    index: int
-    r: np.ndarray
-    desired_symbol: complex
-
-
 def steering_vector(geometry: ArrayGeometry, theta_deg: float) -> np.ndarray:
     """Array response for a plane wave arriving from ``theta_deg``.
 
@@ -170,7 +158,7 @@ def epoch_index(scenario: Scenario, i: int) -> int:
     return bisect_right(scenario._starts, i) - 1
 
 
-def generate_snapshot(scenario: Scenario, i: int, rng: np.random.Generator) -> Snapshot:
+def generate_snapshot(scenario: Scenario, i: int, rng: np.random.Generator) -> np.ndarray:
     """Draw one received vector ``r = A s + n`` at snapshot ``i``.
 
     Symbols are drawn first (one per active source, desired source first),
@@ -181,8 +169,7 @@ def generate_snapshot(scenario: Scenario, i: int, rng: np.random.Generator) -> S
     symbols = 2.0 * rng.integers(0, 2, size=mat.shape[1]) - 1.0
     m = len(mat)
     noise = rng.standard_normal(2 * m)  # real parts first: the stream of two m-draws
-    r = mat @ (amps * symbols) + scenario._noise_scale * (noise[:m] + 1j * noise[m:])
-    return Snapshot(index=i, r=r, desired_symbol=complex(symbols[0]))
+    return mat @ (amps * symbols) + scenario._noise_scale * (noise[:m] + 1j * noise[m:])
 
 
 def desired_covariance(scenario: Scenario, i: int) -> np.ndarray:

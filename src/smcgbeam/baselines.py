@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .smcg import SmCgState, StepResult
+from .smcg import SmCgState
 
 
 def mvdr_weights(covariance: np.ndarray, steering: np.ndarray, gamma: float = 1.0) -> np.ndarray:
@@ -189,5 +189,7 @@ class ConstrainedCg:
     def state(self) -> SmCgState:
         return self._state
 
-    def step(self, r: np.ndarray) -> StepResult:
-        return self._state.step(r, 0.0)
+    def step(self, r: np.ndarray) -> complex:
+        y = np.vdot(self._state.w, r)
+        self._state.step(r, 0.0, y)
+        return y

@@ -18,11 +18,6 @@ import math
 import numpy as np
 
 
-def desired_direction_output(steering: np.ndarray, r: np.ndarray) -> complex:
-    """Snapshot as seen through the protected steering vector, ``a0^H r``."""
-    return complex(np.vdot(steering, r))
-
-
 class _NoiseFloor:
     """The weight-scaled noise floor ``sqrt(varsigma ||w||^2 noise_power)``.
 
@@ -132,7 +127,7 @@ class PidbBound:
         self.delta = self._floor(w0, noise_power)
 
     def update(self, steering, r, y, w, noise_power) -> None:
-        e0 = desired_direction_output(steering, r) - y
+        e0 = np.vdot(steering, r) - y
         self.nu = self.rho * self.nu + (1.0 - self.rho) * abs(e0) ** 2
         target = math.sqrt(self.epsilon * self.nu) + self._floor(w, noise_power)
         self.delta = self.rho * self.delta + (1.0 - self.rho) * target

@@ -50,7 +50,7 @@ from .arrays import (
 )
 from .baselines import ConstrainedCg, ConstrainedRls, FrostSg, NonFiniteUpdate, mvdr_weights
 from .bounds import FixedBound, PdbBound, PidbBound
-from .metrics import complexity_counts, constraint_error_rows, sinr_linear
+from .metrics import COMPLEXITY_ALGORITHMS, complexity_counts, constraint_error_rows, sinr_linear
 from .smcg import SmCgState
 
 _REQUIRED = inspect.Parameter.empty
@@ -286,7 +286,6 @@ def build_scenario(config: ExperimentConfig, rng: np.random.Generator) -> Scenar
         epochs=epochs,
         noise_power=config.noise_power,
         n_snapshots=config.n_snapshots,
-        gamma=config.gamma,
     )
 
 
@@ -369,11 +368,11 @@ class _CgEntry(_Entry):
         algo = self.algo
         for k, r in enumerate(block):
             try:
-                res = algo.step(r)
+                y = algo.step(r)
             except ValueError as exc:
                 raise _StepDiverged(str(exc), first + k) from exc
-            upd[k] = res.updated
-            y2[k] = abs(res.y) ** 2
+            upd[k] = algo.state.updated
+            y2[k] = abs(y) ** 2
             w_out[k] = algo.w
 
 
@@ -417,7 +416,7 @@ def _single_run(config, scenario, rng, a0, run=0):
     n = scenario.n_snapshots
     n_alg = len(config.algorithms)
     entries = [
-        _ENTRIES[spec.kind](spec, a0, scenario.gamma, scenario.noise_power)
+        _ENTRIES[spec.kind](spec, a0, config.gamma, scenario.noise_power)
         for spec in config.algorithms
     ]
     sinr_lin = np.empty((n_alg, n))
@@ -439,7 +438,7 @@ def _single_run(config, scenario, rng, a0, run=0):
             count = min(_BLOCK, stop - first)
             rows = block[:count]
             for k in range(count):
-                rows[k] = generate_snapshot(scenario, first + k, rng).r
+                rows[k] = generate_snapshot(scenario, first + k, rng)
             cols = slice(first - 1, first - 1 + count)
             for j, entry in enumerate(entries):
                 upd = upd_arr[j, cols]
@@ -456,7 +455,7 @@ def _single_run(config, scenario, rng, a0, run=0):
                 idx = np.flatnonzero(fresh)
                 vals = sinr_linear(w_block[idx], des_cov, int_cov)
                 ok = idx[~np.isnan(vals)]
-                errs = constraint_error_rows(w_block[ok], a0, scenario.gamma)
+                errs = constraint_error_rows(w_block[ok], a0, config.gamma)
                 cons_err[j] = np.fmax.reduce(errs, initial=cons_err[j])
                 filled = np.concatenate(([current[j]], vals))[np.cumsum(fresh)]
                 sinr_lin[j, cols] = filled
@@ -557,8 +556,6 @@ def emit_csv(result: AggregateResult, path) -> None:
 
 def emit_complexity_table(path, m_values, n_snapshots: int = 1000) -> None:
     """Write per-run operation counts for every algorithm family."""
-    from .metrics import COMPLEXITY_ALGORITHMS
-
     lines = ["m,algorithm,update_fraction,projection_order,additions,multiplications"]
     for m in m_values:
         for name in COMPLEXITY_ALGORITHMS:

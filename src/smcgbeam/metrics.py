@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .arrays import Scenario, desired_covariance, interference_covariance
-
 SINR_FLOOR_DB = -200.0
 _SINR_FLOOR_LINEAR = 1e-20
 
@@ -59,14 +57,6 @@ def constraint_error_rows(w_rows: np.ndarray, steering: np.ndarray, gamma: float
     """
     err = np.vecdot(w_rows, steering) - gamma
     return np.hypot(err.real, err.imag)
-
-
-def output_sinr(w: np.ndarray, scenario: Scenario, i: int) -> float:
-    """Analytic output SINR in dB at snapshot ``i`` for weights ``w``."""
-    ratio = sinr_linear(
-        w, desired_covariance(scenario, i), interference_covariance(scenario, i)
-    )
-    return 10.0 * np.log10(ratio)
 
 
 COMPLEXITY_ALGORITHMS = (

@@ -28,8 +28,6 @@ the upper clamp.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 LAMBDA1_MIN_DEFAULT = 0.1
@@ -121,20 +119,6 @@ def lambda1_root(
     return float((num / den).real)
 
 
-@dataclass
-class StepResult:
-    """Outcome of one gated snapshot."""
-
-    y: complex
-    delta: float
-    updated: bool
-    lambda1: float | None
-    alpha: float | None
-    beta: complex | None
-    w: np.ndarray
-    w_degenerate: bool = False
-
-
 class SmCgState:
     """State of the set-membership conjugate-gradient beamformer.
 
@@ -199,17 +183,7 @@ class SmCgState:
         self.r_hat = r_hat_init * np.eye(m, dtype=complex)
         self.w = self.gamma * steering / norm_sq
         self.update_count = 0
-        self.step_count = 0
-
-    @property
-    def n_sensors(self) -> int:
-        return self.steering.size
-
-    def output(self, r: np.ndarray) -> complex:
-        """Beamformer output ``w^H r`` for one snapshot."""
-        if len(r) != self.n_sensors:
-            raise ValueError("snapshot length does not match the array")
-        return complex(np.vdot(self.w, r))
+        self.updated = False
 
     def compute_lambda1(self, r: np.ndarray, delta: float) -> float:
         """Clamped forgetting factor for an accepted snapshot.
@@ -243,30 +217,21 @@ class SmCgState:
         num -= lambda1 * (pr * np.vdot(r, self.v)).real
         return float(num / denom)
 
-    def step(self, r: np.ndarray, delta: float, y: complex | None = None) -> StepResult:
+    def step(self, r: np.ndarray, delta: float, y: complex) -> SmCgState:
         """Process one snapshot against the bound ``delta``.
 
-        ``y``, when given, must be the output ``np.vdot(self.w, r)`` the
-        caller has computed already; it is trusted, and ``r`` is then used
-        as given, without the conversion and length check of
-        :meth:`output`. The state mutates only when ``|y|^2`` strictly exceeds
-        ``delta^2``; rejected snapshots leave every field untouched. ``w``
-        is rebound on an update, never written in place, so the ``w`` of a
-        result stays valid after later steps.
+        ``y`` must be the output ``np.vdot(self.w, r)`` the caller has
+        computed already; it is trusted. The gate's decision, whether
+        ``|y|^2`` strictly exceeds ``delta^2``, is kept in ``updated``, and
+        the state itself is returned. Rejected snapshots leave every other
+        field untouched. ``w`` is rebound on an update, never written in
+        place, so a caller may hold on to an earlier ``w``.
         """
         if delta < 0.0:
             raise ValueError("delta must be non-negative")
-        if y is None:
-            r = np.asarray(r, dtype=complex)
-            y = self.output(r)
-        else:
-            y = complex(y)  # the gate below then rounds exactly as with output()
-        self.step_count += 1
-        if not abs(y) ** 2 > delta ** 2:
-            return StepResult(
-                y=y, delta=delta, updated=False,
-                lambda1=None, alpha=None, beta=None, w=self.w,
-            )
+        self.updated = abs(complex(y)) ** 2 > delta ** 2  # rounded as the presets were recorded
+        if not self.updated:
+            return self
 
         try:
             lam = self.compute_lambda1(r, delta)
@@ -283,15 +248,8 @@ class SmCgState:
         beta = complex(-np.vdot(self.p, self.r_hat @ self.g) / np.vdot(self.p, rp).real)
         self.p = self.g + beta * self.p
 
-        degenerate = False
         av = np.vdot(self.steering, self.v)
-        if av != 0.0:
+        if av != 0.0:  # else v lost the constrained component: keep the feasible w
             self.w = self.gamma * self.v / av
-        else:
-            degenerate = True  # direction lost the constrained component
         self.update_count += 1
-        return StepResult(
-            y=y, delta=delta, updated=True,
-            lambda1=lam, alpha=alpha, beta=beta, w=self.w,
-            w_degenerate=degenerate,
-        )
+        return self

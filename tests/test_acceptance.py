@@ -125,7 +125,7 @@ def test_criterion_3_conjugacy_and_step_size_sandwich():
     scenario = build_scenario(cfg, rng)
     a0 = steering_vector(scenario.geometry, scenario.desired_doa_deg)
     # the filter exactly as the preset runs it
-    entry = harness._SmCgEntry(spec, a0, scenario.gamma, scenario.noise_power)
+    entry = harness._SmCgEntry(spec, a0, cfg.gamma, scenario.noise_power)
     state, policy = entry.state, entry.policy
     assert state.eta == 0.5
     updates = 0
@@ -134,13 +134,12 @@ def test_criterion_3_conjugacy_and_step_size_sandwich():
     worst_upper = -np.inf
     worst_lower = np.inf
     for i in range(1, scenario.n_snapshots + 1):
-        snap = generate_snapshot(scenario, i, rng)
-        y = np.vdot(state.w, snap.r)
-        policy.update(a0, snap.r, y, state.w, scenario.noise_power)
+        r = generate_snapshot(scenario, i, rng)
+        y = np.vdot(state.w, r)
+        policy.update(a0, r, y, state.w, scenario.noise_power)
         p_prev = state.p.copy()
         g_prev = state.g.copy()
-        res = state.step(snap.r, policy.delta)
-        if not res.updated:
+        if not state.step(r, policy.delta, y).updated:
             continue
         updates += 1
         # successive directions stay conjugate under the fresh covariance

@@ -127,13 +127,13 @@ class TestEpochs:
 class TestGenerateSnapshot:
     def test_deterministic_given_seed(self):
         sc = make_scenario()
-        r1 = [generate_snapshot(sc, i, np.random.default_rng(7)).r for i in (1, 1)]
+        r1 = [generate_snapshot(sc, i, np.random.default_rng(7)) for i in (1, 1)]
         npt.assert_array_equal(r1[0], r1[1])
 
     def test_stream_order_symbols_then_noise(self):
         """The documented draw order is what a fixed seed reproduces."""
         sc = make_scenario()
-        snap = generate_snapshot(sc, 1, np.random.default_rng(123))
+        r = generate_snapshot(sc, 1, np.random.default_rng(123))
 
         rng = np.random.default_rng(123)
         symbols = 2.0 * rng.integers(0, 2, size=3) - 1.0
@@ -142,13 +142,19 @@ class TestGenerateSnapshot:
             [steering_vector(sc.geometry, s.doa_deg) for s in sc.epochs[0][1]]
         )
         amps = np.sqrt([s.power for s in sc.epochs[0][1]])
-        npt.assert_array_equal(snap.r, mat @ (amps * symbols) + noise)
-        assert snap.desired_symbol == complex(symbols[0])
+        npt.assert_array_equal(r, mat @ (amps * symbols) + noise)
 
     def test_symbols_are_bpsk(self):
-        sc = make_scenario()
+        """One broadside source of amplitude 2 over negligible noise gives
+        r = 2 s a0 with a0 all ones, so r[0] / 2 is the symbol s."""
+        sc = Scenario(
+            geometry=ArrayGeometry(4),
+            epochs=((1, (Source(90.0, 4.0),)),),
+            noise_power=1e-20,
+            n_snapshots=1,
+        )
         rng = np.random.default_rng(5)
-        seen = {generate_snapshot(sc, 1, rng).desired_symbol for _ in range(64)}
+        seen = {complex(np.round(generate_snapshot(sc, 1, rng)[0] / 2.0)) for _ in range(64)}
         assert seen == {(-1 + 0j), (1 + 0j)}
 
     def test_epoch_switch_changes_source_count(self):
@@ -156,8 +162,8 @@ class TestGenerateSnapshot:
         rng = np.random.default_rng(0)
         # consume identical generator state for both epochs; only the
         # mixing matrix differs, so the vector dimensionality stays m
-        r_old = generate_snapshot(sc, 40, rng).r
-        r_new = generate_snapshot(sc, 41, rng).r
+        r_old = generate_snapshot(sc, 40, rng)
+        r_new = generate_snapshot(sc, 41, rng)
         assert r_old.shape == r_new.shape == (4,)
 
 

@@ -72,7 +72,7 @@ class TestFrostSg:
         algo = FrostSg(a0, gamma=1.0)
         rng = np.random.default_rng(3)
         for i in range(1, 500):
-            algo.step(generate_snapshot(sc, i, rng).r)
+            algo.step(generate_snapshot(sc, i, rng))
             assert abs(np.vdot(algo.w, a0) - 1.0) < 1e-12
 
     def test_converges_toward_optimum(self):
@@ -89,7 +89,7 @@ class TestFrostSg:
         sinr_start = sinr_linear(algo.w, dc, ic)
         rng = np.random.default_rng(4)
         for i in range(1, 3001):
-            algo.step(generate_snapshot(sc, i, rng).r)
+            algo.step(generate_snapshot(sc, i, rng))
         sinr_end = sinr_linear(algo.w, dc, ic)
         # this seed lands ~0.1 dB off the optimum; quiescent sits ~7.5 dB off
         assert 10 * np.log10(sinr_end / sinr_start) > 5.0
@@ -136,7 +136,7 @@ class TestConstrainedRls:
         algo = ConstrainedRls(a0, gamma=2.0)
         rng = np.random.default_rng(6)
         for i in range(1, 300):
-            algo.step(generate_snapshot(sc, i, rng).r)
+            algo.step(generate_snapshot(sc, i, rng))
             assert abs(np.vdot(algo.w, a0) - 2.0) < 1e-10
 
     def test_nonfinite_snapshot_raises_instead_of_poisoning_state(self):
@@ -162,7 +162,7 @@ class TestConstrainedRls:
             noise_power=1.0, n_snapshots=600,
         )
         rng = np.random.default_rng(9)
-        rows = np.array([generate_snapshot(sc, i, rng).r for i in range(1, 601)])
+        rows = np.array([generate_snapshot(sc, i, rng) for i in range(1, 601)])
         a0 = steering_vector(geometry, 90.0)
         algo = ConstrainedRls(a0, gamma=gamma, forgetting=forgetting, inv_init=inv_init)
         expected = rls_reference(a0, rows, gamma, forgetting, inv_init)
@@ -198,15 +198,25 @@ class TestConstrainedRls:
 
 
 class TestConstrainedCg:
-    def test_gate_always_open_and_factor_pinned(self):
+    def test_gate_always_open_and_factor_pinned(self, monkeypatch):
         sc = easy_scenario()
         a0 = steering_vector(sc.geometry, 90.0)
         algo = ConstrainedCg(a0, forgetting=0.998)
+        lams = []
+        compute = smcg.SmCgState.compute_lambda1
+
+        def recording(self, r, delta):
+            lams.append(compute(self, r, delta))
+            return lams[-1]
+
+        monkeypatch.setattr(smcg.SmCgState, "compute_lambda1", recording)
         rng = np.random.default_rng(7)
         for i in range(1, 100):
-            res = algo.step(generate_snapshot(sc, i, rng).r)
-            assert res.updated
-            assert res.lambda1 == 0.998
+            r = generate_snapshot(sc, i, rng)
+            y = np.vdot(algo.w, r)
+            assert algo.step(r) == y  # the output before the update
+            assert algo.state.updated
+        assert lams == [0.998] * 99
 
     def test_w_mirrors_internal_state(self):
         a0 = steering_vector(ArrayGeometry(4), 90.0)
@@ -219,7 +229,7 @@ class TestConstrainedCg:
         algo = ConstrainedCg(a0)
         rng = np.random.default_rng(9)
         for i in range(1, 200):
-            algo.step(generate_snapshot(sc, i, rng).r)
+            algo.step(generate_snapshot(sc, i, rng))
             assert abs(np.vdot(algo.w, a0) - 1.0) < 1e-10
 
     def test_long_horizon_invariants_without_solving(self, monkeypatch):
@@ -245,7 +255,8 @@ class TestConstrainedCg:
         rng = np.random.default_rng(11)
         worst = 0.0
         for i in range(1, 3001):
-            assert algo.step(generate_snapshot(sc, i, rng).r).updated
+            algo.step(generate_snapshot(sc, i, rng))
+            assert algo.state.updated
             worst = max(worst, abs(np.vdot(algo.w, a0) - 1.0))
         state = algo.state
         residual = state.g - (a0 - state.r_hat @ state.v)

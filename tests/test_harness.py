@@ -311,8 +311,8 @@ class TestRunExperiment:
         draw = harness.generate_snapshot
 
         def poisoned(scenario, i, rng):
-            snap = draw(scenario, i, rng)
-            return replace(snap, r=np.full_like(snap.r, np.nan)) if i == 257 + 37 else snap
+            r = draw(scenario, i, rng)
+            return np.full_like(r, np.nan) if i == 257 + 37 else r
 
         monkeypatch.setattr(harness, "generate_snapshot", poisoned)
         with pytest.raises(RunDivergedError) as err:
@@ -326,9 +326,11 @@ class TestRunExperiment:
         """A ValueError out of a step names the run, the algorithm and the snapshot."""
         cfg = tiny_config(n_snapshots=300, runs=2, algorithms=(algo("x", kind),))
         step = harness.SmCgState.step
+        calls = []
 
-        def failing(self, r, delta, y=None):
-            if self.step_count == 279:
+        def failing(self, r, delta, y):
+            calls.append(r)
+            if len(calls) == 280:
                 raise ValueError("covariance estimate lost positive definiteness")
             return step(self, r, delta, y)
 
@@ -398,7 +400,7 @@ class TestRunExperiment:
         rng = np.random.default_rng(cfg.master_seed)
         scenario = build_scenario(cfg, rng)
         expected = np.array(
-            [generate_snapshot(scenario, i, rng).r for i in range(1, cfg.n_snapshots + 1)]
+            [generate_snapshot(scenario, i, rng) for i in range(1, cfg.n_snapshots + 1)]
         )
         assert [first for first, _ in seen] == [1, 257, 300, 556]
         got = np.concatenate([rows for _, rows in seen])

@@ -7,12 +7,18 @@ frozen here; the counting formulas must reproduce them exactly in float64.
 import numpy as np
 import pytest
 
-from smcgbeam.arrays import ArrayGeometry, Scenario, Source, steering_vector
+from smcgbeam.arrays import (
+    ArrayGeometry,
+    Scenario,
+    Source,
+    desired_covariance,
+    interference_covariance,
+    steering_vector,
+)
 from smcgbeam.metrics import (
     COMPLEXITY_ALGORITHMS,
     complexity_counts,
     constraint_error_rows,
-    output_sinr,
     sinr_linear,
 )
 
@@ -59,7 +65,7 @@ class TestSinr:
         with pytest.raises(ValueError):
             sinr_linear(np.zeros(2, dtype=complex), np.outer(a0, a0.conj()), np.eye(2))
 
-    def test_output_sinr_uses_epoch_covariances(self):
+    def test_sinr_of_each_epoch_uses_its_covariances(self):
         geometry = ArrayGeometry(4)
         sc = Scenario(
             geometry=geometry,
@@ -72,9 +78,14 @@ class TestSinr:
         )
         a0 = steering_vector(geometry, 90.0)
         w = a0 / 4
+
+        def sinr(i):
+            return sinr_linear(w, desired_covariance(sc, i), interference_covariance(sc, i))
+
         # epoch 1: no interference, SINR = 10 * m / 1
-        assert output_sinr(w, sc, 1) == pytest.approx(10 * np.log10(40.0), abs=1e-9)
-        assert output_sinr(w, sc, 6) < output_sinr(w, sc, 5)
+        assert sinr(1) == pytest.approx(40.0, rel=1e-12)
+        assert sinr(5) == sinr(1)
+        assert sinr(6) < sinr(5)
 
 
 class TestBatchedForms:

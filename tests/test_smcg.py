@@ -39,15 +39,31 @@ def small_scenario(m=6, seed=11, n=400):
     return sc, rng
 
 
+def step(state, r, delta):
+    """Gate one snapshot as the engine does, passing the output it computed."""
+    return state.step(r, delta, np.vdot(state.w, r)).updated
+
+
 def drive(state, sc, rng, n, delta=2.0):
-    """Run n snapshots, returning the per-update step results."""
-    results = []
+    """Run n snapshots, returning the weights after each update."""
+    weights = []
     for i in range(1, n + 1):
-        snap = generate_snapshot(sc, i, rng)
-        res = state.step(snap.r, delta)
-        if res.updated:
-            results.append((snap.r, res))
-    return results
+        if step(state, generate_snapshot(sc, i, rng), delta):
+            weights.append(state.w)
+    return weights
+
+
+def record_lambda1(monkeypatch):
+    """The clamped forgetting factor of every solved update, in order."""
+    seen = []
+    compute = SmCgState.compute_lambda1
+
+    def recording(self, r, delta):
+        seen.append(compute(self, r, delta))
+        return seen[-1]
+
+    monkeypatch.setattr(SmCgState, "compute_lambda1", recording)
+    return seen
 
 
 # ---------------------------------------------------------------------------
@@ -106,34 +122,35 @@ class TestStateInvariants:
         sc, rng = small_scenario()
         a0 = steering_vector(sc.geometry, 90.0)
         state = SmCgState(a0, gamma=1.0, r_hat_init=10.0)
-        results = drive(state, sc, rng, 400)
-        assert len(results) > 20
-        for _, res in results:
-            if not res.w_degenerate:
-                assert abs(np.vdot(res.w, a0) - 1.0) < 1e-10
+        weights = drive(state, sc, rng, 400)
+        assert len(weights) > 20
+        for w in weights:
+            assert abs(np.vdot(w, a0) - 1.0) < 1e-10
 
     def test_gradient_identity_maintained_recursively(self):
-        """g is kept equal to a0 - R v without ever recomputing it."""
+        """g is kept equal to a0 - R v without ever recomputing it, and R
+        stays Hermitian to rounding. Not bit for bit: the complex products
+        of the rank-one term ``r r^H`` may round each pair of mirrored
+        entries differently."""
         sc, rng = small_scenario()
         a0 = steering_vector(sc.geometry, 90.0)
         state = SmCgState(a0, r_hat_init=10.0)
         for i in range(1, 300):
-            snap = generate_snapshot(sc, i, rng)
-            res = state.step(snap.r, 2.0)
-            if res.updated:
+            if step(state, generate_snapshot(sc, i, rng), 2.0):
                 direct = a0 - state.r_hat @ state.v
                 scale = np.linalg.norm(direct) + np.linalg.norm(state.g) + 1.0
                 assert np.linalg.norm(state.g - direct) / scale < 1e-9
+                asym = np.abs(state.r_hat - state.r_hat.conj().T).max()
+                assert asym <= 1e-14 * np.abs(state.r_hat).max()
+        assert state.update_count > 20
 
     def test_successive_directions_are_conjugate(self):
         sc, rng = small_scenario()
         a0 = steering_vector(sc.geometry, 90.0)
         state = SmCgState(a0, r_hat_init=10.0)
         for i in range(1, 300):
-            snap = generate_snapshot(sc, i, rng)
             p_prev = state.p.copy()
-            res = state.step(snap.r, 2.0)
-            if res.updated:
+            if step(state, generate_snapshot(sc, i, rng), 2.0):
                 cross = abs(np.vdot(p_prev, state.r_hat @ state.p))
                 scale = abs(np.vdot(p_prev, state.r_hat @ p_prev))
                 assert cross / scale < 1e-10
@@ -146,11 +163,9 @@ class TestStateInvariants:
         state = SmCgState(a0, eta=eta, r_hat_init=10.0)
         seen = 0
         for i in range(1, 300):
-            snap = generate_snapshot(sc, i, rng)
             p_before = state.p.copy()
             g_before = state.g.copy()
-            res = state.step(snap.r, 2.0)
-            if res.updated:
+            if step(state, generate_snapshot(sc, i, rng), 2.0):
                 lhs = np.vdot(p_before, state.g).real
                 rhs = eta * np.vdot(p_before, g_before).real
                 assert abs(lhs - rhs) / (abs(rhs) + 1e-9) < 1e-9
@@ -161,33 +176,32 @@ class TestStateInvariants:
         sc, rng = small_scenario()
         a0 = steering_vector(sc.geometry, 90.0)
         state = SmCgState(a0)
-        snap = generate_snapshot(sc, 1, rng)
+        r = generate_snapshot(sc, 1, rng)
         before = (
             state.v.copy(), state.g.copy(), state.p.copy(),
             state.r_hat.copy(), state.w.copy(),
         )
-        res = state.step(snap.r, 1e6)
-        assert not res.updated
-        assert res.lambda1 is None and res.alpha is None and res.beta is None
+        assert state.step(r, 1e6, np.vdot(state.w, r)) is state
+        assert not state.updated
         after = (state.v, state.g, state.p, state.r_hat, state.w)
         for b, a in zip(before, after):
             npt.assert_array_equal(b, a)
         assert state.update_count == 0
-        assert state.step_count == 1
 
     def test_gate_is_strict(self):
         # |y| equal to the bound must not trigger an update
         a0 = steering_vector(ArrayGeometry(4), 90.0)
         state = SmCgState(a0, gamma=1.0)
-        res = state.step(a0, 1.0)  # w(0)^H a0 = gamma = 1 exactly
-        assert abs(res.y) == pytest.approx(1.0, abs=1e-15)
-        assert not res.updated
+        y = np.vdot(state.w, a0)  # w(0)^H a0 = gamma = 1 exactly
+        assert abs(y) == pytest.approx(1.0, abs=1e-15)
+        assert not state.step(a0, 1.0, y).updated
 
-    def test_lambda_stays_clamped(self):
+    def test_lambda_stays_clamped(self, monkeypatch):
         sc, rng = small_scenario()
         a0 = steering_vector(sc.geometry, 90.0)
         state = SmCgState(a0, lambda1_min=0.2, lambda1_max=0.95, r_hat_init=10.0)
-        lams = [res.lambda1 for _, res in drive(state, sc, rng, 400)]
+        lams = record_lambda1(monkeypatch)
+        drive(state, sc, rng, 400)
         assert lams
         assert all(0.2 <= lam <= 0.95 for lam in lams)
 
@@ -196,7 +210,7 @@ class TestStateInvariants:
         a0 = steering_vector(sc.geometry, 90.0)
         state = SmCgState(a0, r_hat_init=10.0)
         updates = len(drive(state, sc, rng, 200))
-        assert state.step_count == 200
+        assert 0 < updates < 200
         assert state.update_count == updates
 
     def test_degenerate_projection_flagged_not_applied(self):
@@ -209,9 +223,8 @@ class TestStateInvariants:
         state.p = q.astype(complex)
         state.g = np.zeros(4, dtype=complex)
         w_before = state.w.copy()
-        res = state.step(np.array([3.0, 0, 0, 0], dtype=complex), 0.5)
-        assert res.updated
-        assert res.w_degenerate
+        assert step(state, np.array([3.0, 0, 0, 0], dtype=complex), 0.5)
+        assert state.update_count == 1
         npt.assert_array_equal(state.w, w_before)
 
 
@@ -246,7 +259,7 @@ def test_scaling_gamma_scales_w_and_y_and_keeps_the_gate(exponent, sign, seed, p
     scales every product exactly, so the property holds bit for bit."""
     gamma = sign * 2.0 ** exponent
     sc, rng = small_scenario(m=6, seed=seed, n=300)
-    rows = [generate_snapshot(sc, i, rng).r for i in range(1, sc.n_snapshots + 1)]
+    rows = [generate_snapshot(sc, i, rng) for i in range(1, sc.n_snapshots + 1)]
 
     def policy(scale):
         if pdb:
@@ -295,9 +308,9 @@ class TestValidation:
         a0 = steering_vector(ArrayGeometry(4), 90.0)
         state = SmCgState(a0)
         with pytest.raises(ValueError):
-            state.step(a0, -1.0)
+            step(state, a0, -1.0)
         with pytest.raises(ValueError):
-            state.output(np.ones(3, dtype=complex))
+            step(state, np.ones(3, dtype=complex), 1.0)
 
     def test_initial_weights_are_quiescent(self):
         a0 = steering_vector(ArrayGeometry(8), 90.0)
