@@ -115,15 +115,14 @@ class ConstrainedRls:
         self._invs = np.empty((0,) + self._inv.shape, dtype=complex)
         self._ws = np.empty((0, steering.size), dtype=complex)
 
-    def step(self, rows: np.ndarray) -> tuple[np.ndarray, list[float]]:
+    def step(self, rows: np.ndarray) -> np.ndarray:
         """Advance the estimate over one snapshot, or over each row of a block.
 
         Each row takes the rank-one update of the inverse covariance, kept
-        Hermitian, in turn. The weights after each row and the gate values
-        ``|w_{k-1}^H r_k|^2``, the output power each row meets, are then
-        formed for the whole block at once; they equal those of one update
-        at a time bit for bit. The weights are a view of a buffer that the
-        next call overwrites.
+        Hermitian, in turn. The weights after each row are then formed for
+        the whole block at once; they equal those of one update at a time
+        bit for bit. They are returned as a view of a buffer that the next
+        call overwrites.
 
         Raises :class:`NonFiniteUpdate`, naming the first row whose update
         is not finite, and then leaves the state as it was before the call.
@@ -132,8 +131,8 @@ class ConstrainedRls:
         n, m = rows.shape
         if len(self._invs) < n:
             self._invs = np.empty((n, m, m), dtype=complex)
-            self._ws = np.empty((n + 1, m), dtype=complex)
-        invs, ws, lam = self._invs[:n], self._ws[: n + 1], self.forgetting
+            self._ws = np.empty((n, m), dtype=complex)
+        invs, ws, lam = self._invs[:n], self._ws[:n], self.forgetting
         inv = self._inv
         with np.errstate(all="ignore"):  # a non-finite tail is discarded below
             for k, r in enumerate(rows):
@@ -145,13 +144,10 @@ class ConstrainedRls:
         if not finite.all():
             raise NonFiniteUpdate(int(np.argmin(finite)))
         x = invs @ self.steering
-        ws[0] = self.w
-        np.divide(self.gamma * x, np.vecdot(self.steering, x)[:, None], out=ws[1:])
-        y = np.vecdot(ws[:n], rows)
+        np.divide(self.gamma * x, np.vecdot(self.steering, x)[:, None], out=ws)
         self._inv = inv.copy()
-        self.w = ws[n].copy()
-        # squared one by one: the scalar power rounds unlike an array's square
-        return ws[1:], [h ** 2 for h in np.hypot(y.real, y.imag).tolist()]
+        self.w = ws[n - 1].copy()
+        return ws
 
 
 class ConstrainedCg:

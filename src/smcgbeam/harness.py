@@ -163,6 +163,13 @@ class ExperimentConfig:
             raise ConfigError("gamma must be non-zero")
         if not self.noise_power > 0.0:
             raise ConfigError("noise_power must be positive")
+        for name in ("snr_db", "inr_db"):
+            power = _source_power(self.noise_power, getattr(self, name))
+            if not 0.0 < power < math.inf:
+                raise ConfigError(
+                    f"{name} gives the source power noise_power * 10^({name}/10) = "
+                    f"{power!r}, not a positive finite float"
+                )
         if not 0.0 <= self.desired_doa_deg <= 180.0:
             raise ConfigError("desired_doa_deg must lie in [0, 180]")
         if not 0.0 <= self.doa_min_deg < self.doa_max_deg <= 180.0:
@@ -259,6 +266,14 @@ class AggregateResult:
     complexity: dict[str, tuple[float, float]] = field(default_factory=dict)
 
 
+def _source_power(noise_power: float, db: float) -> float:
+    """``noise_power * 10^(db/10)``; inf where the power overflows."""
+    try:
+        return noise_power * 10.0 ** (db / 10.0)
+    except OverflowError:
+        return math.inf
+
+
 def build_scenario(config: ExperimentConfig, rng: np.random.Generator) -> Scenario:
     """Materialise one run's scenario, drawing interferer angles from ``rng``.
 
@@ -267,8 +282,8 @@ def build_scenario(config: ExperimentConfig, rng: np.random.Generator) -> Scenar
     sequence is a pure function of the generator state.
     """
     geometry = ArrayGeometry(config.m, config.spacing_wavelengths)
-    p_desired = config.noise_power * 10.0 ** (config.snr_db / 10.0)
-    p_interf = config.noise_power * 10.0 ** (config.inr_db / 10.0)
+    p_desired = _source_power(config.noise_power, config.snr_db)
+    p_interf = _source_power(config.noise_power, config.inr_db)
     n_interf = max(q for _, q in config.epochs) - 1
     doas: list[float] = []
     while len(doas) < n_interf:
@@ -297,9 +312,10 @@ class _Entry:
     """One roster entry of a run: its filter and the loop that advances it.
 
     ``run`` advances the filter through one block of snapshots, all in one
-    epoch, and writes per snapshot whether it updated, its bound, the gate
-    magnitude ``|w^H r|^2`` and the post-step weights into the given rows.
-    A ``ValueError`` out of a step becomes :class:`_StepDiverged`.
+    epoch, and writes per snapshot whether it updated and its bound into the
+    given rows. It writes the post-step weights on row 0 and on every row
+    where it updated; the engine reads no other rows of ``w_out``. A
+    ``ValueError`` out of a step becomes :class:`_StepDiverged`.
     """
 
     def start_epoch(self, scenario: Scenario, i: int) -> None:
@@ -319,32 +335,33 @@ class _SmCgEntry(_Entry):
         self.a0 = a0
         self.noise_power = noise_power
 
-    def run(self, block, first, upd, dlt, y2, w_out) -> None:
+    def run(self, block, first, upd, dlt, w_out) -> None:
         state, policy, a0, noise_power = self.state, self.policy, self.a0, self.noise_power
         update = policy.update
+        w_out[0] = state.w  # row 0's post-step weights unless it updates
         for k, r in enumerate(block):
             w = state.w
             y = np.vdot(w, r)
             update(a0, r, y, w, noise_power)
             delta = policy.delta
             try:
-                upd[k] = state.step(r, delta, y).updated
+                updated = upd[k] = state.step(r, delta, y).updated
             except ValueError as exc:
                 raise _StepDiverged(str(exc), first + k) from exc
             dlt[k] = delta
-            y2[k] = abs(y) ** 2
-            w_out[k] = state.w
+            if updated:
+                w_out[k] = state.w
 
 
 class _SgEntry(_Entry):
     def __init__(self, spec: AlgoSpec, a0: np.ndarray, gamma: float, noise_power: float) -> None:
         self.algo = FrostSg(a0, gamma=gamma, **dict(spec.params))
 
-    def run(self, block, first, upd, dlt, y2, w_out) -> None:
+    def run(self, block, first, upd, dlt, w_out) -> None:
         algo = self.algo
         upd[:] = True
         for k, r in enumerate(block):
-            y2[k] = abs(algo.step(r)) ** 2
+            algo.step(r)
             w_out[k] = algo.w
 
 
@@ -352,10 +369,10 @@ class _RlsEntry(_Entry):
     def __init__(self, spec: AlgoSpec, a0: np.ndarray, gamma: float, noise_power: float) -> None:
         self.algo = ConstrainedRls(a0, gamma=gamma, **dict(spec.params))
 
-    def run(self, block, first, upd, dlt, y2, w_out) -> None:
+    def run(self, block, first, upd, dlt, w_out) -> None:
         upd[:] = True
         try:
-            w_out[: len(block)], y2[:] = self.algo.step(block)
+            w_out[: len(block)] = self.algo.step(block)
         except NonFiniteUpdate as exc:
             raise _StepDiverged("non-finite inverse covariance", first + exc.row) from exc
 
@@ -364,15 +381,14 @@ class _CgEntry(_Entry):
     def __init__(self, spec: AlgoSpec, a0: np.ndarray, gamma: float, noise_power: float) -> None:
         self.algo = ConstrainedCg(a0, gamma=gamma, **dict(spec.params))
 
-    def run(self, block, first, upd, dlt, y2, w_out) -> None:
+    def run(self, block, first, upd, dlt, w_out) -> None:
         algo = self.algo
         for k, r in enumerate(block):
             try:
-                y = algo.step(r)
+                algo.step(r)
             except ValueError as exc:
                 raise _StepDiverged(str(exc), first + k) from exc
             upd[k] = algo.state.updated
-            y2[k] = abs(y) ** 2
             w_out[k] = algo.w
 
 
@@ -384,9 +400,8 @@ class _MvdrEntry(_Entry):
     def start_epoch(self, scenario: Scenario, i: int) -> None:
         self.w = mvdr_weights(total_covariance(scenario, i), self.a0, self.gamma)
 
-    def run(self, block, first, upd, dlt, y2, w_out) -> None:
-        y2[:] = np.abs(np.vecdot(self.w, block)) ** 2
-        w_out[: len(block)] = self.w
+    def run(self, block, first, upd, dlt, w_out) -> None:
+        w_out[0] = self.w
 
 
 _ENTRIES = {
@@ -420,7 +435,6 @@ def _single_run(config, scenario, rng, a0, run=0):
         for spec in config.algorithms
     ]
     sinr_lin = np.empty((n_alg, n))
-    y_abs_sq = np.empty((n_alg, n))
     delta_arr = np.zeros((n_alg, n))
     upd_arr = np.zeros((n_alg, n), dtype=bool)
     cons_err = np.zeros(n_alg)
@@ -443,7 +457,7 @@ def _single_run(config, scenario, rng, a0, run=0):
             for j, entry in enumerate(entries):
                 upd = upd_arr[j, cols]
                 try:
-                    entry.run(rows, first, upd, delta_arr[j, cols], y_abs_sq[j, cols], w_block)
+                    entry.run(rows, first, upd, delta_arr[j, cols], w_block)
                 except _StepDiverged as exc:
                     what, snapshot = exc.args
                     raise RunDivergedError(
@@ -460,14 +474,14 @@ def _single_run(config, scenario, rng, a0, run=0):
                 filled = np.concatenate(([current[j]], vals))[np.cumsum(fresh)]
                 sinr_lin[j, cols] = filled
                 current[j] = filled[-1]
-    return sinr_lin, y_abs_sq, delta_arr, upd_arr, cons_err
+    return sinr_lin, delta_arr, upd_arr, cons_err
 
 
 def run_experiment(config: ExperimentConfig) -> AggregateResult:
     """Run all Monte-Carlo repetitions of ``config`` and aggregate them.
 
     Raises :class:`RunDivergedError` the moment any run records a
-    non-finite SINR, gate value or bound, naming the run, algorithm and
+    non-finite SINR or bound, naming the run, algorithm and
     snapshot; nothing is dropped silently.
     """
     config.validate()
@@ -485,10 +499,8 @@ def run_experiment(config: ExperimentConfig) -> AggregateResult:
         rng = np.random.default_rng(config.master_seed ^ k)
         scenario = build_scenario(config, rng)
         a0 = steering_vector(scenario.geometry, scenario.desired_doa_deg)
-        sinr_lin, y_abs_sq, delta_arr, upd_arr, cons_err = _single_run(
-            config, scenario, rng, a0, k
-        )
-        for name, arr in (("sinr", sinr_lin), ("gate", y_abs_sq), ("bound", delta_arr)):
+        sinr_lin, delta_arr, upd_arr, cons_err = _single_run(config, scenario, rng, a0, k)
+        for name, arr in (("sinr", sinr_lin), ("bound", delta_arr)):
             if not np.all(np.isfinite(arr)):
                 j, col = np.argwhere(~np.isfinite(arr))[0]
                 raise RunDivergedError(

@@ -24,9 +24,21 @@ out at the solution), which is exact whenever the quadratic has a real
 root. A gate that cannot be met by any admissible
 forgetting factor is reported as degenerate and the caller falls back to
 the upper clamp.
+
+An accepted update forms its inner products once, as Python floats and
+complex numbers, and solves lambda1 and alpha in them, which costs a
+fraction of the same arithmetic on NumPy scalars. Python's products, sums,
+``abs`` and ``** 2`` round as NumPy's scalar ones do, but its complex
+division does not: NumPy divides by Smith's method and multiplies by a
+reciprocal, and the two disagree in the last bit on about 42 % of random
+quotients. The root therefore writes NumPy's division out in floats for
+its two quotients, the complex sign and the ratio form, so that every
+lambda1 is the one the NumPy-scalar version of the update computed.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -44,79 +56,98 @@ class DegenerateLambdaError(RuntimeError):
 
 
 def _csign(z: complex) -> complex:
-    """Complex sign ``z / |z|``, defined as 1 at the origin."""
+    """Complex sign ``z / |z|``, defined as 1 at the origin.
+
+    NumPy's division by ``|z| + 0j`` written out: the ratio of the zero
+    imaginary part to ``|z|`` is 0, so the reciprocal is ``1 / |z|``.
+    """
     mag = abs(z)
-    return z / mag if mag > 0.0 else 1.0 + 0.0j
+    if not mag > 0.0:
+        return 1.0 + 0.0j
+    scl = 1.0 / mag
+    return complex((z.real + z.imag * 0.0) * scl, (z.imag - z.real * 0.0) * scl)
+
+
+def _real_quotient(a: complex, b: complex) -> float:
+    """Real part of ``a / b`` as NumPy's complex division rounds it.
+
+    Smith's method: divide by the larger part of ``b`` and multiply by the
+    reciprocal of the scaled denominator.
+    """
+    if abs(b.real) >= abs(b.imag):
+        rat = b.imag / b.real
+        return (a.real + a.imag * rat) * (1.0 / (b.real + b.imag * rat))
+    rat = b.real / b.imag
+    return (a.real * rat + a.imag) * (1.0 / (b.imag + b.real * rat))
 
 
 def lambda1_root(
-    v: np.ndarray,
-    g: np.ndarray,
-    p: np.ndarray,
-    r_hat: np.ndarray,
-    steering: np.ndarray,
-    r: np.ndarray,
+    p_r_p: float,
+    vr: complex,
+    va: complex,
+    gp: complex,
+    pr: complex,
+    pa: complex,
     delta: float,
     eta: float = 0.5,
 ) -> float:
     """Unclamped forgetting factor meeting the gate-boundary condition.
 
-    All quadratic forms are evaluated with the pre-update covariance
-    estimate ``r_hat``, which breaks the circular dependence between the
-    forgetting factor and the covariance it scales. Raises
-    :class:`DegenerateLambdaError` when the boundary condition has no real
-    solution or the ratio denominator vanishes.
+    Takes the inner products of the pre-update state as Python numbers:
+    ``Re p^H R p``, ``v^H r``, ``v^H a0``, ``g^H p``, ``p^H r`` and
+    ``p^H a0``. The pre-update covariance estimate breaks the circular
+    dependence between the forgetting factor and the covariance it scales.
+    Raises :class:`DegenerateLambdaError` when the boundary condition has no
+    real solution, the ratio denominator vanishes, or its terms leave the
+    float range.
     """
-    a_quad = np.vdot(p, r_hat @ p).real
-    vr = np.vdot(v, r)
-    va = np.vdot(v, steering)
-    gp = np.vdot(g, p)  # g^H p
-    pr = np.vdot(p, r)
-    pa = np.vdot(p, steering)
-    rp = np.conj(pr)
+    try:
+        rp = pr.conjugate()
+        tau1 = delta * va * p_r_p + delta * (1.0 - eta) * gp * pa
+        tau2 = vr * rp * pa
+        tau3 = vr * p_r_p + (1.0 - eta) * gp * pr
+        tau4 = vr * rp * pr
 
-    tau1 = delta * va * a_quad + delta * (1.0 - eta) * gp * pa
-    tau2 = vr * rp * pa
-    tau3 = vr * a_quad + (1.0 - eta) * gp * pr
-    tau4 = vr * rp * pr
+        # |tau3 - lam tau4|^2 = |tau1 - lam delta tau2|^2, a real quadratic.
+        qa = abs(tau4) ** 2 - delta ** 2 * abs(tau2) ** 2
+        qb = 2.0 * (delta * (tau1 * tau2.conjugate()).real - (tau3 * tau4.conjugate()).real)
+        qc = abs(tau3) ** 2 - abs(tau1) ** 2
 
-    # |tau3 - lam tau4|^2 = |tau1 - lam delta tau2|^2, a real quadratic.
-    qa = abs(tau4) ** 2 - delta ** 2 * abs(tau2) ** 2
-    qb = 2.0 * (delta * (tau1 * np.conj(tau2)).real - (tau3 * np.conj(tau4)).real)
-    qc = abs(tau3) ** 2 - abs(tau1) ** 2
-
-    scale = max(abs(qa), abs(qb), abs(qc))
-    if scale == 0.0:
-        raise DegenerateLambdaError("gate condition independent of lambda1")
-    if abs(qa) <= 1e-14 * scale:
-        if abs(qb) <= 1e-14 * scale:
+        scale = max(abs(qa), abs(qb), abs(qc))
+        if scale == 0.0:
             raise DegenerateLambdaError("gate condition independent of lambda1")
-        roots = [-qc / qb]
-    else:
-        disc = qb * qb - 4.0 * qa * qc
-        if disc < 0.0:
-            raise DegenerateLambdaError("no real solution to the gate condition")
-        sq = float(np.sqrt(disc))
-        q = -0.5 * (qb + sq) if qb >= 0.0 else -0.5 * (qb - sq)
-        roots = [q / qa, qc / q] if q != 0.0 else [0.0]
+        if abs(qa) <= 1e-14 * scale:
+            if abs(qb) <= 1e-14 * scale:
+                raise DegenerateLambdaError("gate condition independent of lambda1")
+            roots = [-qc / qb]
+        else:
+            disc = qb * qb - 4.0 * qa * qc
+            if disc < 0.0:
+                raise DegenerateLambdaError("no real solution to the gate condition")
+            sq = math.sqrt(disc)
+            q = -0.5 * (qb + sq) if qb >= 0.0 else -0.5 * (qb - sq)
+            roots = [q / qa, qc / q] if q != 0.0 else [0.0]
 
-    in_range = [x for x in roots if 0.0 < x <= 1.0]
-    if in_range:
-        lam = max(in_range)
-    else:
-        # keep the root nearest the admissible interval; clamping finishes the job
-        lam = min(roots, key=lambda x: abs(x - 1.0) if x > 1.0 else abs(x))
+        in_range = [x for x in roots if 0.0 < x <= 1.0]
+        if in_range:
+            lam = max(in_range)
+        else:
+            # keep the root nearest the admissible interval; clamping finishes the job
+            lam = min(roots, key=lambda x: abs(x - 1.0) if x > 1.0 else abs(x))
 
-    # Sign-weighted ratio form evaluated at the solution; exactness of the
-    # root makes the ratio real, and a vanishing denominator flags a
-    # boundary condition the closed form cannot express.
-    s_a = np.conj(_csign(tau1 - lam * delta * tau2))
-    s_r = np.conj(_csign(tau3 - lam * tau4))
-    num = tau1 * s_a - tau3 * s_r
-    den = delta * tau2 * s_a - tau4 * s_r
-    if abs(den) < _DENOM_FLOOR:
-        raise DegenerateLambdaError("vanishing denominator in the ratio form")
-    return float((num / den).real)
+        # Sign-weighted ratio form evaluated at the solution; exactness of the
+        # root makes the ratio real, and a vanishing denominator flags a
+        # boundary condition the closed form cannot express.
+        s_a = _csign(tau1 - lam * delta * tau2).conjugate()
+        s_r = _csign(tau3 - lam * tau4).conjugate()
+        num = tau1 * s_a - tau3 * s_r
+        den = delta * tau2 * s_a - tau4 * s_r
+        if abs(den) < _DENOM_FLOOR:
+            raise DegenerateLambdaError("vanishing denominator in the ratio form")
+        return _real_quotient(num, den)
+    except (OverflowError, ZeroDivisionError) as exc:
+        # a term beyond float range, or a not-a-number denominator
+        raise DegenerateLambdaError(f"gate condition not representable: {exc}") from exc
 
 
 class SmCgState:
@@ -184,6 +215,21 @@ class SmCgState:
         self.w = self.gamma * steering / norm_sq
         self.update_count = 0
         self.updated = False
+        self._forms = None  # the update's shared inner products while it solves for lambda1
+
+    def _inner_products(self, r: np.ndarray) -> tuple[float, complex, complex, complex]:
+        """The inner products that lambda1, alpha and the commit all read.
+
+        ``Re p^H R p``, ``v^H r``, ``g^H p`` and ``p^H r`` of the pre-update
+        state, as Python numbers.
+        """
+        p = self.p
+        return (
+            float(np.vdot(p, self.r_hat @ p).real),
+            complex(np.vdot(self.v, r)),
+            complex(np.vdot(self.g, p)),
+            complex(np.vdot(p, r)),
+        )
 
     def compute_lambda1(self, r: np.ndarray, delta: float) -> float:
         """Clamped forgetting factor for an accepted snapshot.
@@ -191,31 +237,38 @@ class SmCgState:
         The root is solved for ``delta / |gamma|``: the gate compares
         ``|w^H r| = |gamma| |v^H r| / |v^H a0|`` with ``delta``, and the root
         puts ``|v^H r| / |v^H a0|`` on its bound. A clamp of zero width pins
-        the factor, so no root is solved.
+        the factor, so no root is solved. Inside :meth:`step` the inner
+        products the step has formed are reused; the root alone reads
+        ``v^H a0`` and ``p^H a0``.
         """
         if self.lambda1_min == self.lambda1_max:
             return self.lambda1_max
-        lam = lambda1_root(
-            self.v, self.g, self.p, self.r_hat, self.steering, r,
-            delta / abs(self.gamma), self.eta,
-        )
+        p_r_p, vr, gp, pr = self._forms or self._inner_products(r)
+        va = complex(np.vdot(self.v, self.steering))
+        pa = complex(np.vdot(self.p, self.steering))
+        lam = lambda1_root(p_r_p, vr, va, gp, pr, pa, delta / abs(self.gamma), self.eta)
         return min(max(lam, self.lambda1_min), self.lambda1_max)
 
-    def compute_alpha(self, r: np.ndarray, lambda1: float) -> float:
+    def compute_alpha(
+        self, lambda1: float, p_r_p: float, pr: complex, pg: float, rv: complex
+    ) -> float:
         """Line-search step along ``p`` under the updated covariance.
 
-        The denominator uses the post-update estimate
+        Takes ``Re p^H R p``, ``p^H r``, ``Re p^H g`` and ``r^H v`` of the
+        pre-update state. The denominator uses the post-update estimate
         ``r_hat + lambda1 r r^H`` without forming it; the numerator takes
         the real part of each inner product so the step is real and the
         direction/gradient product contracts by exactly ``eta`` per update.
         """
-        pr = np.vdot(self.p, r)
-        denom = np.vdot(self.p, self.r_hat @ self.p).real + lambda1 * abs(pr) ** 2
+        try:
+            denom = p_r_p + lambda1 * abs(pr) ** 2
+        except OverflowError as exc:
+            raise ValueError("line search overflows float range") from exc
         if not denom > 0.0:
             raise ValueError("covariance estimate lost positive definiteness")
-        num = (1.0 - self.eta) * np.vdot(self.p, self.g).real
-        num -= lambda1 * (pr * np.vdot(r, self.v)).real
-        return float(num / denom)
+        num = (1.0 - self.eta) * pg
+        num -= lambda1 * (pr * rv).real
+        return num / denom
 
     def step(self, r: np.ndarray, delta: float, y: complex) -> SmCgState:
         """Process one snapshot against the bound ``delta``.
@@ -226,6 +279,10 @@ class SmCgState:
         the state itself is returned. Rejected snapshots leave every other
         field untouched. ``w`` is rebound on an update, never written in
         place, so a caller may hold on to an earlier ``w``.
+
+        An update forms its inner products once; lambda1, alpha and the
+        commit read them (``r^H v`` as the conjugate of ``v^H r``, and
+        ``Re p^H g`` as ``Re g^H p``, which round alike).
         """
         if delta < 0.0:
             raise ValueError("delta must be non-negative")
@@ -233,14 +290,18 @@ class SmCgState:
         if not self.updated:
             return self
 
+        self._forms = forms = self._inner_products(r)
         try:
             lam = self.compute_lambda1(r, delta)
         except DegenerateLambdaError:
             lam = self.lambda1_max
-        alpha = self.compute_alpha(r, lam)
+        finally:
+            self._forms = None
+        p_r_p, vr, gp, pr = forms
+        rv = vr.conjugate()
+        alpha = self.compute_alpha(lam, p_r_p, pr, gp.real, rv)
 
         # all scalars resolved; commit the state in the recursion order
-        rv = np.vdot(r, self.v)  # r^H v(i-1), consumed by the gradient update
         self.r_hat += lam * (r[:, None] * r.conj())
         rp = self.r_hat @ self.p
         self.v = self.v + alpha * self.p

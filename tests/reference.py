@@ -7,6 +7,21 @@ the closed form in the package can be checked against an independent path.
 
 import numpy as np
 
+from smcgbeam.smcg import DegenerateLambdaError, lambda1_root
+
+
+def lambda1_root_of(v, g, p, r_hat, a0, r, delta, eta):
+    """The package's closed form on the inner products of the given vectors."""
+    forms = (
+        float(np.vdot(p, r_hat @ p).real),
+        complex(np.vdot(v, r)),
+        complex(np.vdot(v, a0)),
+        complex(np.vdot(g, p)),
+        complex(np.vdot(p, r)),
+        complex(np.vdot(p, a0)),
+    )
+    return lambda1_root(*forms, delta, eta)
+
 
 def boundary_taus(v, g, p, r_hat, a0, r, delta, eta):
     """The four invariants of the boundary condition, computed directly.
@@ -91,18 +106,142 @@ def random_instance(rng, m):
     return v, g, p, r_hat, a0, r, delta, eta
 
 
+# --- the gated update in NumPy scalars --------------------------------------
+#
+# The closed form, the line search and the commit as the package computed
+# them before it solved lambda1 in Python floats. Every quadratic form is
+# formed from the vectors where it is used, and all scalar arithmetic runs
+# on NumPy scalars; the package must match these bit for bit.
+
+_DENOM_FLOOR = 1e-12
+
+
+def _csign_reference(z):
+    mag = abs(z)
+    return z / mag if mag > 0.0 else 1.0 + 0.0j
+
+
+def lambda1_root_reference(v, g, p, r_hat, steering, r, delta, eta=0.5):
+    """The unclamped forgetting factor, or ``DegenerateLambdaError``."""
+    a_quad = np.vdot(p, r_hat @ p).real
+    vr = np.vdot(v, r)
+    va = np.vdot(v, steering)
+    gp = np.vdot(g, p)  # g^H p
+    pr = np.vdot(p, r)
+    pa = np.vdot(p, steering)
+    rp = np.conj(pr)
+
+    tau1 = delta * va * a_quad + delta * (1.0 - eta) * gp * pa
+    tau2 = vr * rp * pa
+    tau3 = vr * a_quad + (1.0 - eta) * gp * pr
+    tau4 = vr * rp * pr
+
+    qa = abs(tau4) ** 2 - delta ** 2 * abs(tau2) ** 2
+    qb = 2.0 * (delta * (tau1 * np.conj(tau2)).real - (tau3 * np.conj(tau4)).real)
+    qc = abs(tau3) ** 2 - abs(tau1) ** 2
+
+    scale = max(abs(qa), abs(qb), abs(qc))
+    if scale == 0.0:
+        raise DegenerateLambdaError("gate condition independent of lambda1")
+    if abs(qa) <= 1e-14 * scale:
+        if abs(qb) <= 1e-14 * scale:
+            raise DegenerateLambdaError("gate condition independent of lambda1")
+        roots = [-qc / qb]
+    else:
+        disc = qb * qb - 4.0 * qa * qc
+        if disc < 0.0:
+            raise DegenerateLambdaError("no real solution to the gate condition")
+        sq = float(np.sqrt(disc))
+        q = -0.5 * (qb + sq) if qb >= 0.0 else -0.5 * (qb - sq)
+        roots = [q / qa, qc / q] if q != 0.0 else [0.0]
+
+    in_range = [x for x in roots if 0.0 < x <= 1.0]
+    if in_range:
+        lam = max(in_range)
+    else:
+        lam = min(roots, key=lambda x: abs(x - 1.0) if x > 1.0 else abs(x))
+
+    s_a = np.conj(_csign_reference(tau1 - lam * delta * tau2))
+    s_r = np.conj(_csign_reference(tau3 - lam * tau4))
+    num = tau1 * s_a - tau3 * s_r
+    den = delta * tau2 * s_a - tau4 * s_r
+    if abs(den) < _DENOM_FLOOR:
+        raise DegenerateLambdaError("vanishing denominator in the ratio form")
+    return float((num / den).real)
+
+
+def root_branch(v, g, p, r_hat, a0, r, delta, eta):
+    """Which branch of the closed form an instance takes before the ratio form."""
+    tau1, tau2, tau3, tau4 = boundary_taus(v, g, p, r_hat, a0, r, delta, eta)
+    qa = abs(tau4) ** 2 - delta ** 2 * abs(tau2) ** 2
+    qb = 2.0 * (delta * (tau1 * np.conj(tau2)).real - (tau3 * np.conj(tau4)).real)
+    qc = abs(tau3) ** 2 - abs(tau1) ** 2
+    scale = max(abs(qa), abs(qb), abs(qc))
+    if scale == 0.0:
+        return "zero scale"
+    if abs(qa) <= 1e-14 * scale:
+        return "linear"
+    disc = qb * qb - 4.0 * qa * qc
+    if disc < 0.0:
+        return "disc < 0"
+    sq = np.sqrt(disc)
+    q = -0.5 * (qb + sq) if qb >= 0.0 else -0.5 * (qb - sq)
+    roots = [q / qa, qc / q] if q != 0.0 else [0.0]
+    return "root in (0, 1]" if any(0.0 < x <= 1.0 for x in roots) else "no root in (0, 1]"
+
+
+def lambda1_reference(state, r, delta):
+    """``state.compute_lambda1(r, delta)`` in NumPy scalars."""
+    if state.lambda1_min == state.lambda1_max:
+        return state.lambda1_max
+    lam = lambda1_root_reference(
+        state.v, state.g, state.p, state.r_hat, state.steering, r,
+        delta / abs(state.gamma), state.eta,
+    )
+    return min(max(lam, state.lambda1_min), state.lambda1_max)
+
+
+def update_reference(state, r, delta):
+    """One accepted update of ``state`` in NumPy scalars, on copies.
+
+    Returns ``(lambda1, alpha, v, g, p, r_hat, w)`` after the update and
+    leaves ``state`` as it was; raises what the update raises.
+    """
+    v, g, p, r_hat = state.v, state.g, state.p, state.r_hat.copy()
+    try:
+        lam = lambda1_reference(state, r, delta)
+    except DegenerateLambdaError:
+        lam = state.lambda1_max
+
+    pr = np.vdot(p, r)
+    denom = np.vdot(p, r_hat @ p).real + lam * abs(pr) ** 2
+    if not denom > 0.0:
+        raise ValueError("covariance estimate lost positive definiteness")
+    num = (1.0 - state.eta) * np.vdot(p, g).real
+    num -= lam * (pr * np.vdot(r, v)).real
+    alpha = float(num / denom)
+
+    rv = np.vdot(r, v)
+    r_hat += lam * (r[:, None] * r.conj())
+    rp = r_hat @ p
+    v = v + alpha * p
+    g = g - alpha * rp - lam * rv * r
+    beta = complex(-np.vdot(p, r_hat @ g) / np.vdot(p, rp).real)
+    p = g + beta * p
+    av = np.vdot(state.steering, v)
+    w = state.gamma * v / av if av != 0.0 else state.w
+    return lam, alpha, v, g, p, r_hat, w
+
+
 def rls_reference(a0, rows, gamma=1.0, forgetting=0.998, inv_init=1e-2):
     """Constrained RLS one snapshot at a time, from scratch.
 
-    Yields, per row, the inverse covariance after the update, the weights
-    ``gamma Q a0 / (a0^H Q a0)`` and the gate value ``|w^H r|^2`` of the
-    weights the row met. Raises ``FloatingPointError`` at the first update
-    that is not finite.
+    Yields, per row, the inverse covariance after the update and the
+    weights ``gamma Q a0 / (a0^H Q a0)``. Raises ``FloatingPointError`` at
+    the first update that is not finite.
     """
     inv = np.eye(a0.size, dtype=complex) / inv_init
-    w = gamma * a0 / np.vdot(a0, a0).real
     for r in rows:
-        gate = abs(np.vdot(w, r)) ** 2
         qr = inv @ r
         gain = qr / (forgetting + np.vdot(r, qr).real)
         new = (inv - gain[:, None] * qr.conj()) / forgetting
@@ -111,4 +250,4 @@ def rls_reference(a0, rows, gamma=1.0, forgetting=0.998, inv_init=1e-2):
         inv = 0.5 * (new + new.conj().T)
         x = inv @ a0
         w = gamma * x / np.vdot(a0, x)
-        yield inv, w, gate
+        yield inv, w

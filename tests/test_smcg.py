@@ -1,13 +1,27 @@
 """Gated conjugate-gradient state machine: invariants and the closed-form
 forgetting factor against an independent bisection root finder."""
 
+from collections import Counter
+from types import SimpleNamespace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import bisect_roots, boundary_gap, boundary_taus, random_instance
+from reference import (
+    bisect_roots,
+    boundary_gap,
+    boundary_taus,
+    lambda1_reference,
+    lambda1_root_of,
+    lambda1_root_reference,
+    random_instance,
+    root_branch,
+    update_reference,
+)
 
+from smcgbeam import smcg
 from smcgbeam.arrays import (
     ArrayGeometry,
     Scenario,
@@ -17,13 +31,10 @@ from smcgbeam.arrays import (
     interference_covariance,
     steering_vector,
 )
-from smcgbeam.bounds import FixedBound, PdbBound
+from smcgbeam.bounds import FixedBound, PdbBound, PidbBound
+from smcgbeam.harness import ExperimentConfig, algo, run_experiment
 from smcgbeam.metrics import sinr_linear
-from smcgbeam.smcg import (
-    DegenerateLambdaError,
-    SmCgState,
-    lambda1_root,
-)
+from smcgbeam.smcg import DegenerateLambdaError, SmCgState
 
 
 def small_scenario(m=6, seed=11, n=400):
@@ -82,7 +93,7 @@ def test_closed_form_matches_bisection_oracle():
         in_range = [x for x in bisect_roots(taus, delta) if 0.0 < x <= 1.0]
         if not in_range:
             continue
-        lam = lambda1_root(v, g, p, r_hat, a0, r, delta, eta)
+        lam = lambda1_root_of(v, g, p, r_hat, a0, r, delta, eta)
         best = min(in_range, key=lambda x: abs(x - lam))
         assert lam == pytest.approx(best, rel=1e-6), f"instance {k}"
         checked += 1
@@ -100,7 +111,7 @@ def test_closed_form_lands_on_boundary():
             continue
         v, g, p, r_hat, a0, r, delta, eta = inst
         try:
-            lam = lambda1_root(v, g, p, r_hat, a0, r, delta, eta)
+            lam = lambda1_root_of(v, g, p, r_hat, a0, r, delta, eta)
         except DegenerateLambdaError:
             continue
         if not 0.0 < lam <= 1.0:
@@ -111,6 +122,177 @@ def test_closed_form_lands_on_boundary():
         assert abs(gap) / scale < 1e-7
         hits += 1
     assert hits > 40
+
+
+# ---------------------------------------------------------------------------
+# the update against its NumPy-scalar reference, bit for bit (see reference.py)
+# ---------------------------------------------------------------------------
+
+def outcome(fn):
+    """What ``fn()`` returns, or the type and message of what it raises."""
+    try:
+        return "returned", fn()
+    except (DegenerateLambdaError, ValueError) as exc:
+        return "raised", type(exc), str(exc)
+
+
+def same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def same_outcome(got, want):
+    """Both raised alike, or both returned the same bits."""
+    if want[0] == "raised":
+        return got == want
+    return got[0] == "returned" and same_bits(got[1], want[1])
+
+
+def _random_instances(rng):
+    """Random closed-form instances, in families that reach every branch."""
+    for k in range(1200):
+        inst = random_instance(rng, (2, 3, 4, 16)[k // 4 % 4])
+        if inst is None:
+            continue
+        v, g, p, r_hat, a0, r, delta, eta = inst
+        family = k % 4
+        if family == 1:  # bounds far from the mid-path output
+            delta *= 10.0 ** rng.uniform(-2.0, 2.0)
+        elif family == 2:  # a tiny snapshot: qa vanishes next to qc, and often the denominator
+            r, delta = 1e-5 * r, 1e-5 * delta
+        elif family == 3:  # r = a0 at a unit bound: tau1 = tau3, tau2 = tau4, all coefficients 0
+            r, delta = a0.copy(), 1.0
+        yield v, g, p, r_hat, a0, r, delta, eta
+
+
+def test_root_matches_numpy_scalar_reference_on_every_branch():
+    branches = set()
+    for inst in _random_instances(np.random.default_rng(2024)):
+        got = outcome(lambda: lambda1_root_of(*inst))
+        want = outcome(lambda: lambda1_root_reference(*inst))
+        assert same_outcome(got, want), (got, want)
+        branches.add(root_branch(*inst))
+        if want[0] == "raised" and want[2] == "vanishing denominator in the ratio form":
+            branches.add("vanishing denominator")
+    assert branches == {
+        "zero scale", "linear", "disc < 0", "vanishing denominator",
+        "no root in (0, 1]", "root in (0, 1]",
+    }
+
+
+def _state_and_bound(kind, gamma, a0, noise_power):
+    """The filter state and bound policy of one gated-run case."""
+    if kind == "cg":  # the pinned baseline: every snapshot, no root
+        state = SmCgState(a0, gamma=gamma, lambda1_min=0.998, lambda1_max=0.998)
+        return state, SimpleNamespace(delta=0.0, update=lambda *args: None)
+    state = SmCgState(a0, gamma=gamma)
+    if kind == "fixed":
+        return state, FixedBound(2.0 * abs(gamma))
+    bound = PdbBound if kind == "pdb" else PidbBound
+    return state, bound(state.w, noise_power)
+
+
+@pytest.mark.parametrize("m", [2, 4, 16])
+@pytest.mark.parametrize("gamma", [1.0, -3.0])
+@pytest.mark.parametrize("kind", ["fixed", "pdb", "pidb", "cg"])
+def test_update_matches_numpy_scalar_reference(monkeypatch, kind, gamma, m):
+    """lambda1, alpha, v, g, p, R, w and any exception, bit for bit with the
+    update in NumPy scalars, over a gated run; ``compute_lambda1`` called on
+    its own returns the reference value too."""
+    sources = (Source(90.0, 10.0), Source(48.0, 100.0), Source(126.0, 100.0))
+    sc = Scenario(
+        geometry=ArrayGeometry(m), epochs=((1, sources[: min(m, 3)]),),
+        noise_power=1.0, n_snapshots=400,
+    )
+    rng = np.random.default_rng(m)
+    a0 = steering_vector(sc.geometry, 90.0)
+    state, bound = _state_and_bound(kind, gamma, a0, sc.noise_power)
+    seen = {}
+    compute_lambda1, compute_alpha = SmCgState.compute_lambda1, SmCgState.compute_alpha
+
+    def recording_lambda1(self, r, delta):
+        seen["lambda1"] = result = outcome(lambda: compute_lambda1(self, r, delta))
+        if result[0] == "raised":
+            raise result[1](result[2])
+        return result[1]
+
+    def recording_alpha(self, *args):
+        seen["alpha"] = compute_alpha(self, *args)
+        return seen["alpha"]
+
+    monkeypatch.setattr(SmCgState, "compute_lambda1", recording_lambda1)
+    monkeypatch.setattr(SmCgState, "compute_alpha", recording_alpha)
+    updates = 0
+    for i in range(1, sc.n_snapshots + 1):
+        r = generate_snapshot(sc, i, rng)
+        y = np.vdot(state.w, r)
+        bound.update(state.steering, r, y, state.w, sc.noise_power)
+        delta = bound.delta
+        if not abs(complex(y)) ** 2 > delta ** 2:
+            assert not state.step(r, delta, y).updated
+            continue
+        want_lambda1 = outcome(lambda: lambda1_reference(state, r, delta))
+        assert same_outcome(outcome(lambda: compute_lambda1(state, r, delta)), want_lambda1)
+        want = outcome(lambda: update_reference(state, r, delta))
+        seen.clear()
+        got = outcome(lambda: state.step(r, delta, y))
+        if want[0] == "raised":
+            assert got == want
+            break
+        _, alpha, *fields = want[1]
+        assert got[0] == "returned" and state.updated
+        assert same_outcome(seen["lambda1"], want_lambda1)
+        assert same_bits(seen["alpha"], alpha)
+        for name, value in zip(("v", "g", "p", "r_hat", "w"), fields):
+            assert same_bits(getattr(state, name), value), name
+        updates += 1
+    assert updates >= 5
+
+
+def test_update_calls_seen_by_a_tracer(monkeypatch):
+    """Over gated runs, each update calls ``compute_lambda1(r, delta)`` and
+    ``compute_alpha`` once, and each solve reaches the module's
+    ``lambda1_root`` once; the pinned ``cg`` baseline never reaches it."""
+    calls = Counter()  # keyed by (call, whether the clamp pins lambda1)
+    pinned = [False]
+    step, compute_lambda1 = SmCgState.step, SmCgState.compute_lambda1
+    compute_alpha, lambda1_root = SmCgState.compute_alpha, smcg.lambda1_root
+
+    def counting_step(state, r, delta, y):
+        out = step(state, r, delta, y)
+        calls["update", state.lambda1_min == state.lambda1_max] += out.updated
+        return out
+
+    def counting_lambda1(state, r, delta):  # the signature a tracer wraps
+        pinned.append(state.lambda1_min == state.lambda1_max)
+        calls["lambda1", pinned[-1]] += 1
+        try:
+            return compute_lambda1(state, r, delta)
+        finally:
+            pinned.pop()
+
+    def counting_root(*args, **kwargs):
+        calls["root", pinned[-1]] += 1
+        return lambda1_root(*args, **kwargs)
+
+    def counting_alpha(*args, **kwargs):
+        calls["alpha"] += 1
+        return compute_alpha(*args, **kwargs)
+
+    monkeypatch.setattr(SmCgState, "step", counting_step)
+    monkeypatch.setattr(SmCgState, "compute_lambda1", counting_lambda1)
+    monkeypatch.setattr(SmCgState, "compute_alpha", counting_alpha)
+    monkeypatch.setattr(smcg, "lambda1_root", counting_root)
+    cfg = ExperimentConfig(
+        m=6, epochs=((1, 3),), n_snapshots=300, runs=2,
+        algorithms=(algo("smcg", "smcg", bound="fixed", delta=2.0), algo("cg", "cg")),
+    )
+    run_experiment(cfg)
+    solved, pinned_updates = calls["update", False], calls["update", True]
+    assert 0 < solved < cfg.runs * cfg.n_snapshots
+    assert calls["lambda1", False] == calls["root", False] == solved
+    assert calls["lambda1", True] == pinned_updates == cfg.runs * cfg.n_snapshots
+    assert calls["root", True] == 0
+    assert calls["alpha"] == solved + pinned_updates
 
 
 # ---------------------------------------------------------------------------
