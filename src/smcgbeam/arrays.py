@@ -117,8 +117,9 @@ class Scenario:
             desired = powers[0] * np.outer(a0, a0.conj())
             rest = mat[:, 1:]
             interference = (rest * powers[1:]) @ rest.conj().T if rest.size else np.zeros((m, m))
+            amps = np.sqrt(powers)
             tables.append(
-                (mat, np.sqrt(powers), desired, interference + self.noise_power * np.eye(m))
+                (mat, amps, -amps, desired, interference + self.noise_power * np.eye(m))
             )
         object.__setattr__(self, "_starts", tuple(starts))
         object.__setattr__(self, "_epoch_tables", tuple(tables))
@@ -164,25 +165,33 @@ def generate_snapshot(scenario: Scenario, i: int, rng: np.random.Generator) -> n
     Symbols are drawn first (one per active source, desired source first),
     then the noise vector, so a generator with a fixed seed reproduces the
     identical snapshot.
+
+    Every part rounds as in ``A @ (amps * symbols) + scale * (re + 1j * im)``:
+    a symbol of +-1 only picks the sign of its amplitude, the noise parts
+    are scaled one real product each, and the sum is the same in either
+    order.
     """
-    mat, amps, _, _ = scenario._epoch_tables[epoch_index(scenario, i)]
-    symbols = 2.0 * rng.integers(0, 2, size=mat.shape[1]) - 1.0
+    mat, amps, neg_amps, _, _ = scenario._epoch_tables[epoch_index(scenario, i)]
+    bits = rng.integers(0, 2, size=len(amps))
     m = len(mat)
     noise = rng.standard_normal(2 * m)  # real parts first: the stream of two m-draws
-    return mat @ (amps * symbols) + scenario._noise_scale * (noise[:m] + 1j * noise[m:])
+    r = np.empty(m, dtype=complex)
+    np.multiply(noise.reshape(2, m).T, scenario._noise_scale, out=r.view(float).reshape(m, 2))
+    r += mat @ np.where(bits, amps, neg_amps)
+    return r
 
 
 def desired_covariance(scenario: Scenario, i: int) -> np.ndarray:
     """Analytic desired-signal covariance of the epoch active at ``i``."""
-    return scenario._epoch_tables[epoch_index(scenario, i)][2]
+    return scenario._epoch_tables[epoch_index(scenario, i)][3]
 
 
 def interference_covariance(scenario: Scenario, i: int) -> np.ndarray:
     """Analytic interference-plus-noise covariance at snapshot ``i``."""
-    return scenario._epoch_tables[epoch_index(scenario, i)][3]
+    return scenario._epoch_tables[epoch_index(scenario, i)][4]
 
 
 def total_covariance(scenario: Scenario, i: int) -> np.ndarray:
     """Analytic full received covariance at snapshot ``i``."""
-    _, _, desired, rest = scenario._epoch_tables[epoch_index(scenario, i)]
+    _, _, _, desired, rest = scenario._epoch_tables[epoch_index(scenario, i)]
     return desired + rest

@@ -111,18 +111,25 @@ class ConstrainedRls:
         self.forgetting = float(forgetting)
         self._inv = np.eye(steering.size, dtype=complex) / inv_init
         self.w = self.gamma * steering / np.vdot(steering, steering).real
-        # per-block buffers, grown to the longest block seen
+        # per-block buffers, grown to the longest block seen, and per-row ones
         self._invs = np.empty((0,) + self._inv.shape, dtype=complex)
         self._ws = np.empty((0, steering.size), dtype=complex)
+        self._outer = np.empty_like(self._inv)
+        self._half = np.empty_like(self._inv)
 
     def step(self, rows: np.ndarray) -> np.ndarray:
         """Advance the estimate over one snapshot, or over each row of a block.
 
         Each row takes the rank-one update of the inverse covariance, kept
-        Hermitian, in turn. The weights after each row are then formed for
-        the whole block at once; they equal those of one update at a time
-        bit for bit. They are returned as a view of a buffer that the next
-        call overwrites.
+        Hermitian, in turn: ``Q <- 0.5 (P + P^H)`` with
+        ``P = (Q - k (Q r)^H) / lambda``. NumPy divides a complex value by a
+        real ``lambda`` by multiplying each part by ``1 / lambda``, and
+        halving is exact, so ``P / 2`` is formed as one multiply of the real
+        parts by ``0.5 / lambda`` and ``Q`` as its sum with its conjugate
+        transpose; both round as the formula does. The weights after each
+        row are then formed for the whole block at once; they equal those
+        of one update at a time bit for bit. They are returned as a view of
+        a buffer that the next call overwrites.
 
         Raises :class:`NonFiniteUpdate`, naming the first row whose update
         is not finite, and then leaves the state as it was before the call.
@@ -133,13 +140,16 @@ class ConstrainedRls:
             self._invs = np.empty((n, m, m), dtype=complex)
             self._ws = np.empty((n, m), dtype=complex)
         invs, ws, lam = self._invs[:n], self._ws[:n], self.forgetting
-        inv = self._inv
+        inv, outer, half = self._inv, self._outer, self._half
+        half_parts, scale = half.view(float), 0.5 / lam
         with np.errstate(all="ignore"):  # a non-finite tail is discarded below
             for k, r in enumerate(rows):
                 qr = inv @ r
                 gain = qr / (lam + np.vdot(r, qr).real)
-                inv = (inv - gain[:, None] * qr.conj()) / lam
-                inv = np.multiply(0.5, inv + inv.conj().T, out=invs[k])
+                np.multiply(gain[:, None], qr.conj(), out=outer)
+                np.subtract(inv, outer, out=half)
+                np.multiply(half_parts, scale, out=half_parts)
+                inv = np.add(half, half.conj().T, out=invs[k])
             finite = np.isfinite(invs.view(float)).reshape(n, -1).all(axis=1)
         if not finite.all():
             raise NonFiniteUpdate(int(np.argmin(finite)))

@@ -2,8 +2,14 @@
 
 A policy exposes the current bound through ``.delta`` and is refreshed once
 per snapshot, before the gate is tested, using quantities available at that
-point: the incoming snapshot, the pre-update beamformer output and weights,
-and the (assumed known) noise power.
+point: the steering-vector output ``y0 = a0^H r`` of the incoming snapshot,
+the pre-update beamformer output ``y = w^H r`` and weights ``w``, and the
+(assumed known) noise power::
+
+    policy.update(np.vdot(a0, r), np.vdot(w, r), w, noise_power)
+
+The outputs may be NumPy or Python complex numbers; a policy reads them as
+the same values either way.
 
 ``FixedBound`` keeps a constant bound. ``PdbBound`` tracks a noise floor
 scaled by the current weight norm. ``PidbBound`` adds a smoothed estimate
@@ -48,7 +54,7 @@ class FixedBound:
             raise ValueError("delta must be positive")
         self.delta = float(delta)
 
-    def update(self, steering, r, y, w, noise_power) -> None:
+    def update(self, y0, y, w, noise_power) -> None:
         pass
 
 
@@ -76,7 +82,7 @@ class PdbBound:
         self._floor = _NoiseFloor(varsigma, w0, noise_power)
         self.delta = self._floor(w0, noise_power)
 
-    def update(self, steering, r, y, w, noise_power) -> None:
+    def update(self, y0, y, w, noise_power) -> None:
         target = self._floor(w, noise_power)
         self.delta = self.rho * self.delta + (1.0 - self.rho) * target
 
@@ -88,7 +94,7 @@ class PidbBound:
     steering-vector output and the beamformer output, and folds a small
     fraction of it into the bound on top of the weight-scaled noise floor:
 
-    nu    <- rho * nu    + (1 - rho) * |a0^H r - y|^2
+    nu    <- rho * nu    + (1 - rho) * |y0 - y|^2
     delta <- rho * delta + (1 - rho) * (sqrt(epsilon * nu) + noise floor)
 
     With ``epsilon = 0`` the sequence reduces bit-for-bit to ``PdbBound``
@@ -126,8 +132,8 @@ class PidbBound:
         self._floor = _NoiseFloor(varsigma, w0, noise_power)
         self.delta = self._floor(w0, noise_power)
 
-    def update(self, steering, r, y, w, noise_power) -> None:
-        e0 = np.vdot(steering, r) - y
+    def update(self, y0, y, w, noise_power) -> None:
+        e0 = y0 - y
         self.nu = self.rho * self.nu + (1.0 - self.rho) * abs(e0) ** 2
         target = math.sqrt(self.epsilon * self.nu) + self._floor(w, noise_power)
         self.delta = self.rho * self.delta + (1.0 - self.rho) * target

@@ -336,13 +336,25 @@ class _SmCgEntry(_Entry):
         self.noise_power = noise_power
 
     def run(self, block, first, upd, dlt, w_out) -> None:
-        state, policy, a0, noise_power = self.state, self.policy, self.a0, self.noise_power
+        """Advance the gated filter; outputs are formed a block at a time.
+
+        ``a0^H r`` is formed for the whole block at once, and ``w^H r`` for
+        the rest of the block at its start and at each rejection that
+        follows an update: the weights then hold until the next update.
+        Right after an update the next output is formed on its own, so an
+        open gate does not pay for a block of outputs per update.
+        ``vecdot`` rounds each row as ``vdot``.
+        """
+        state, policy, noise_power = self.state, self.policy, self.noise_power
         update = policy.update
+        y0s = np.vecdot(self.a0, block).tolist()
+        ys = np.vecdot(state.w, block).tolist()
+        current = True  # ys[k] is the output under the present weights
         w_out[0] = state.w  # row 0's post-step weights unless it updates
         for k, r in enumerate(block):
             w = state.w
-            y = np.vdot(w, r)
-            update(a0, r, y, w, noise_power)
+            y = ys[k] if current else np.vdot(w, r)
+            update(y0s[k], y, w, noise_power)
             delta = policy.delta
             try:
                 updated = upd[k] = state.step(r, delta, y).updated
@@ -351,6 +363,10 @@ class _SmCgEntry(_Entry):
             dlt[k] = delta
             if updated:
                 w_out[k] = state.w
+                current = False
+            elif not current:
+                ys[k + 1 :] = np.vecdot(w, block[k + 1 :]).tolist()
+                current = True
 
 
 class _SgEntry(_Entry):
@@ -427,6 +443,11 @@ def _single_run(config, scenario, rng, a0, run=0):
     through all of them; the SINR and the constraint error are evaluated in
     one batch for the snapshots where the entry updated or an epoch starts,
     and carried forward in between.
+
+    Raises :class:`RunDivergedError` where finite weights give an
+    interference-plus-noise output power ``w^H R_in w`` that rounds to zero
+    or below. That happens at an INR far above the noise floor (fig6 at
+    170 dB), where the quadratic form cancels down to its rounding error.
     """
     n = scenario.n_snapshots
     n_alg = len(config.algorithms)
@@ -468,7 +489,16 @@ def _single_run(config, scenario, rng, a0, run=0):
                 fresh[0] |= first == start
                 idx = np.flatnonzero(fresh)
                 vals = sinr_linear(w_block[idx], des_cov, int_cov)
-                ok = idx[~np.isnan(vals)]
+                failed = np.isnan(vals)
+                if failed.any():
+                    row = idx[np.argmax(failed)]
+                    if np.isfinite(w_block[row].view(float)).all():
+                        raise RunDivergedError(
+                            f"run {run}: the weights are finite but the interference-plus-"
+                            f"noise output power is not positive for algorithm "
+                            f"{config.algorithms[j].label!r} at snapshot {first + row}"
+                        )
+                ok = idx[~failed]
                 errs = constraint_error_rows(w_block[ok], a0, config.gamma)
                 cons_err[j] = np.fmax.reduce(errs, initial=cons_err[j])
                 filled = np.concatenate(([current[j]], vals))[np.cumsum(fresh)]
@@ -543,24 +573,35 @@ def run_experiment(config: ExperimentConfig) -> AggregateResult:
     return result
 
 
+def _formatted(values: np.ndarray) -> list[str]:
+    """``f"{v:.9g}"`` of each float64 value; a run of bit-equal values is formatted once."""
+    bits = values.view(np.int64)
+    starts = np.empty(len(bits), dtype=bool)
+    starts[:1] = True
+    np.not_equal(bits[1:], bits[:-1], out=starts[1:])
+    texts = np.array(["", *[f"{v:.9g}" for v in values[starts].tolist()]], dtype=object)
+    return texts[np.cumsum(starts)].tolist()
+
+
 def emit_csv(result: AggregateResult, path) -> None:
     """Write the aggregate as CSV, one row per (snapshot, algorithm).
 
-    Rows are formatted from plain floats and written ``_BLOCK`` snapshots
-    at a time, so the text is never held whole.
+    Rows are written ``_BLOCK`` snapshots at a time, so the text is never
+    held whole. Within a block each column's values are formatted once per
+    run of equal values: a bound or SINR that holds between updates repeats.
     """
     n = result.n_snapshots
+    traces = (result.mean_sinr_db, result.mean_delta, result.update_rate_cum)
     with open(path, "w", newline="\n") as fh:
         fh.write("snapshot,algorithm,mean_sinr_db,mean_delta,update_rate_cum\n")
         for first in range(0, n, _BLOCK):
             cols = slice(first, min(first + _BLOCK, n))
             columns = [
-                (lab, result.mean_sinr_db[lab][cols].tolist(),
-                 result.mean_delta[lab][cols].tolist(), result.update_rate_cum[lab][cols].tolist())
+                (lab, *(_formatted(trace[lab][cols]) for trace in traces))
                 for lab in result.algorithms
             ]
             fh.write("".join(
-                f"{first + k + 1},{lab},{sinr[k]:.9g},{delta[k]:.9g},{rate[k]:.9g}\n"
+                f"{first + k + 1},{lab},{sinr[k]},{delta[k]},{rate[k]}\n"
                 for k in range(cols.stop - first)
                 for lab, sinr, delta, rate in columns
             ))

@@ -7,6 +7,7 @@ the closed form in the package can be checked against an independent path.
 
 import numpy as np
 
+from smcgbeam.arrays import epoch_index, steering_vector
 from smcgbeam.smcg import DegenerateLambdaError, lambda1_root
 
 
@@ -251,3 +252,21 @@ def rls_reference(a0, rows, gamma=1.0, forgetting=0.998, inv_init=1e-2):
         x = inv @ a0
         w = gamma * x / np.vdot(a0, x)
         yield inv, w
+
+
+def generate_snapshot_reference(scenario, i, rng):
+    """``r = A s + n`` at snapshot ``i``, written as the formula reads.
+
+    Symbols are +-1.0 times the amplitudes, and the complex noise is built
+    and then scaled as a whole. The mixing matrix and amplitudes are built
+    from the scenario's sources here; symbols, then the noise's real and
+    imaginary parts, are drawn in the documented stream order.
+    """
+    sources = scenario.epochs[epoch_index(scenario, i)][1]
+    mat = np.column_stack([steering_vector(scenario.geometry, s.doa_deg) for s in sources])
+    amps = np.sqrt(np.array([s.power for s in sources]))
+    symbols = 2.0 * rng.integers(0, 2, size=mat.shape[1]) - 1.0
+    m = len(mat)
+    noise = rng.standard_normal(2 * m)
+    scale = np.sqrt(scenario.noise_power / 2.0)
+    return mat @ (amps * symbols) + scale * (noise[:m] + 1j * noise[m:])

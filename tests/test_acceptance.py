@@ -135,7 +135,7 @@ def test_criterion_3_conjugacy_and_step_size_sandwich():
     for i in range(1, scenario.n_snapshots + 1):
         r = generate_snapshot(scenario, i, rng)
         y = np.vdot(state.w, r)
-        policy.update(a0, r, y, state.w, scenario.noise_power)
+        policy.update(np.vdot(a0, r), y, state.w, scenario.noise_power)
         p_prev = state.p.copy()
         g_prev = state.g.copy()
         if not state.step(r, policy.delta, y).updated:

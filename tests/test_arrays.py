@@ -3,6 +3,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from reference import generate_snapshot_reference
 
 from smcgbeam.arrays import (
     ArrayGeometry,
@@ -156,6 +157,29 @@ class TestGenerateSnapshot:
         rng = np.random.default_rng(5)
         seen = {complex(np.round(generate_snapshot(sc, 1, rng)[0] / 2.0)) for _ in range(64)}
         assert seen == {(-1 + 0j), (1 + 0j)}
+
+    @pytest.mark.parametrize("m", [2, 16, 64])
+    @pytest.mark.parametrize("full", [False, True], ids=["q=1", "q=m"])
+    def test_matches_reference_bit_for_bit(self, m, full):
+        """Every snapshot, across an epoch change and for several seeds.
+
+        One source only, or as many sources as sensors after the change;
+        the powers differ so that every amplitude and the noise scale
+        round.
+        """
+        sources = tuple(
+            Source(90.0 if k == 0 else 10.0 + 155.0 * k / m, 3.7 * (k + 1) ** 1.5)
+            for k in range(m)
+        )
+        epochs = ((1, sources[:1]), (7, sources[: m if full else 1]))
+        sc = Scenario(geometry=ArrayGeometry(m), epochs=epochs, noise_power=0.3,
+                      n_snapshots=12)
+        for seed in (0, 1, 2024, 99991):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for i in range(1, 13):
+                r = generate_snapshot(sc, i, rng)
+                ref = generate_snapshot_reference(sc, i, ref_rng)
+                assert r.view(float).tobytes() == ref.view(float).tobytes(), (seed, i)
 
     def test_epoch_switch_changes_source_count(self):
         sc = make_scenario()

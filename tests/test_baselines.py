@@ -146,19 +146,32 @@ class TestConstrainedRls:
         with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
             algo.step(np.full(4, np.nan, dtype=complex))
 
-    @pytest.mark.parametrize("gamma, forgetting, inv_init", [(1.0, 0.998, 1e-2), (-3.0, 1.0, 2450.0)])
-    def test_blocks_match_per_snapshot_reference(self, gamma, forgetting, inv_init):
+    @pytest.mark.parametrize(
+        "gamma, forgetting, inv_init, m",
+        [
+            pytest.param(1.0, 0.998, 1e-2, 8, id="1.0-0.998-0.01"),
+            pytest.param(-3.0, 1.0, 2450.0, 8, id="-3.0-1.0-2450.0"),
+            pytest.param(1.0, 0.9, 1e-2, 8, id="forgetting0.9"),
+            pytest.param(1.0, 1.0, 1e-2, 8, id="forgetting1.0"),
+            pytest.param(1.0, 0.9, 1e-2, 2, id="m2"),
+            pytest.param(-3.0, 0.998, 2450.0, 64, id="m64"),
+        ],
+    )
+    def test_blocks_match_per_snapshot_reference(self, gamma, forgetting, inv_init, m):
         """Block by block as the engine runs it, bit for bit with one update at a time.
 
         The blocks split at 257 (a block boundary) and at 300, where the
-        scene gains two interferers; a one-row block is included.
+        scene gains interferers (at m = 2 it swaps its one interferer); a
+        one-row block is included. The reference divides by the forgetting
+        factor and halves the symmetrised sum in complex arithmetic.
         """
-        geometry = ArrayGeometry(8)
+        geometry = ArrayGeometry(m)
         desired, *interf = (Source(90.0, 10.0), Source(40.0, 1e3), Source(130.0, 1e3),
                             Source(60.0, 1e3), Source(150.0, 1e3))
         sc = Scenario(
             geometry=geometry,
-            epochs=((1, (desired, *interf[:2])), (300, (desired, *interf))),
+            epochs=((1, (desired, *interf[: min(2, m - 1)])),
+                    (300, (desired, *interf[-min(4, m - 1):]))),
             noise_power=1.0, n_snapshots=600,
         )
         rng = np.random.default_rng(9)

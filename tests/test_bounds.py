@@ -14,7 +14,7 @@ from smcgbeam.smcg import SmCgState
 class TestFixedBound:
     def test_constant(self):
         b = FixedBound(1.5)
-        b.update(None, None, None, None, None)
+        b.update(None, None, None, None)
         assert b.delta == 1.5
 
     def test_rejects_nonpositive(self):
@@ -38,7 +38,7 @@ class TestPdb:
         d0 = b.delta
         target = math.sqrt(vs * 1.0 * sigma2)
         for k in range(1, 40):
-            b.update(None, None, None, w, sigma2)
+            b.update(None, None, w, sigma2)
             expected = rho ** k * d0 + (1.0 - rho ** k) * target
             assert b.delta == pytest.approx(expected, rel=1e-12)
 
@@ -70,7 +70,7 @@ class TestPidb:
         for _ in range(200):
             r = rng.standard_normal(m) + 1j * rng.standard_normal(m)
             y = complex(np.vdot(w, r))
-            b.update(a0, r, y, w, sigma2)
+            b.update(np.vdot(a0, r), y, w, sigma2)
             e0 = complex(np.vdot(a0, r)) - y
             nu_ref = rho * nu_ref + (1.0 - rho) * abs(e0) ** 2
             floor = math.sqrt(vs * np.vdot(w, w).real * sigma2)
@@ -91,8 +91,8 @@ class TestPidb:
         for _ in range(100):
             r = rng.standard_normal(m) + 1j * rng.standard_normal(m)
             y = complex(np.vdot(w, r))
-            pidb.update(a0, r, y, w, 1.0)
-            pdb.update(a0, r, y, w, 1.0)
+            pidb.update(np.vdot(a0, r), y, w, 1.0)
+            pdb.update(np.vdot(a0, r), y, w, 1.0)
             assert pidb.delta == pdb.delta  # bit for bit
             w = w * 1.001
 
@@ -117,7 +117,7 @@ class TestPidb:
         for i in range(1, sc.n_snapshots + 1):
             r = generate_snapshot(sc, i, rng)
             y = complex(np.vdot(w, r))
-            b.update(a0, r, y, w, 1.0)
+            b.update(np.vdot(a0, r), y, w, 1.0)
         assert b.nu == pytest.approx(analytic, rel=0.05)
 
     def test_validation(self):
@@ -151,7 +151,7 @@ def test_cached_noise_floor_matches_uncached_formula(policy):
         r = generate_snapshot(sc, i, rng)
         w = state.w
         y = np.vdot(w, r)
-        bound.update(a0, r, y, w, sigma2)
+        bound.update(np.vdot(a0, r), y, w, sigma2)
         target = math.sqrt(vs * np.vdot(w, w).real * sigma2)
         if policy is PidbBound:
             nu_ref = rho * nu_ref + (1.0 - rho) * abs(np.vdot(a0, r) - y) ** 2

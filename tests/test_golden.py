@@ -1,4 +1,4 @@
-"""Every preset's CSV, byte for byte.
+"""Every preset's CSV, and one configuration beyond them, byte for byte.
 
 The CSVs are the behavioural oracle of a refactor: a change that keeps the
 numbers keeps these digests. Each preset runs 2 Monte-Carlo runs at its
@@ -9,7 +9,7 @@ not by itself a defect.
 
 import hashlib
 
-from smcgbeam.harness import PRESET_NAMES, emit_csv, preset, run_experiment
+from smcgbeam.harness import PRESET_NAMES, ExperimentConfig, algo, emit_csv, preset, run_experiment
 
 GOLDEN_SHA256 = {
     "fig4": "79af6f40ddd7d6cf9710899c6710508873eb54d292dee5652b078b808e1d9641",
@@ -34,3 +34,27 @@ def test_every_preset_csv_matches_its_digest(tmp_path):
             emit_csv(run_experiment(config), path)
             digests[config.label] = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digests == GOLDEN_SHA256
+
+
+# Beyond the presets: four sensors, a scene that doubles its sources at
+# snapshot 200, a negative gain, every bound policy with gates that accept
+# 33-64 % of snapshots, and an RLS that forgets faster than the default.
+OFF_PRESET = ExperimentConfig(
+    label="m4_gamma_neg3", m=4, gamma=-3.0, epochs=((1, 2), (200, 4)),
+    n_snapshots=400, runs=2,
+    algorithms=(
+        algo("smcg_fixed", "smcg", bound="fixed", delta=9.0),
+        algo("smcg_pdb", "smcg", bound="pdb"),
+        algo("smcg_pidb", "smcg", bound="pidb"),
+        algo("rls", "rls", forgetting=0.99),
+        algo("cg", "cg"),
+        algo("mvdr", "mvdr"),
+    ),
+)
+OFF_PRESET_SHA256 = "e4bfe1a78d56389e7f20bb13b91e663b8c48e1f04325fe9cde346215b71c4cc8"
+
+
+def test_off_preset_csv_matches_its_digest(tmp_path):
+    path = tmp_path / "off_preset.csv"
+    emit_csv(run_experiment(OFF_PRESET), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == OFF_PRESET_SHA256

@@ -361,6 +361,18 @@ class TestRunExperiment:
             "run 0: non-finite inverse covariance for algorithm 'rls' at snapshot 294"
         )
 
+    def test_nonpositive_output_power_at_extreme_inr_named(self):
+        """fig6 at INR 200 dB: RLS's weights at snapshot 12 are finite and meet
+        the constraint, but ``w^H R_in w`` rounds to about -1004."""
+        (cfg,) = preset("fig6", runs=1)
+        cfg = replace(cfg, inr_db=200.0, n_snapshots=300)
+        with np.errstate(all="ignore"), pytest.raises(RunDivergedError) as err:
+            run_experiment(cfg)
+        assert str(err.value) == (
+            "run 0: the weights are finite but the interference-plus-noise output power "
+            "is not positive for algorithm 'rls' at snapshot 12"
+        )
+
     @pytest.mark.parametrize("kind", ["smcg", "cg"])
     def test_failed_step_reported_with_context(self, monkeypatch, kind):
         """A ValueError out of a step names the run, the algorithm and the snapshot."""
@@ -449,6 +461,40 @@ class TestRunExperiment:
     def test_validates_before_running(self):
         with pytest.raises(ConfigError):
             run_experiment(tiny_config(runs=0))
+
+    @pytest.mark.parametrize("m", [2, 16, 64])
+    @pytest.mark.parametrize("bound", ["fixed", "pidb"])
+    def test_gated_entry_matches_per_snapshot_loop(self, m, bound):
+        """Outputs formed a block at a time drive the filter bit for bit as
+        ``vdot`` per snapshot does, through runs of updates and rejections."""
+        params = dict(bound="fixed", delta=2.5) if bound == "fixed" else dict(bound="pidb")
+        cfg = tiny_config(m=m, epochs=((1, 2),), n_snapshots=300, runs=1,
+                          algorithms=(algo("x", "smcg", **params),))
+        rng = np.random.default_rng(cfg.master_seed)
+        scenario = build_scenario(cfg, rng)
+        a0 = steering_vector(scenario.geometry, scenario.desired_doa_deg)
+        rows = np.array([generate_snapshot(scenario, i, rng) for i in range(1, 301)])
+        entry = harness._SmCgEntry(cfg.algorithms[0], a0, cfg.gamma, scenario.noise_power)
+        upd, dlt = np.zeros(300, dtype=bool), np.zeros(300)
+        w_out = np.empty_like(rows)
+        for first in (1, 257):
+            stop = min(first + harness._BLOCK, 301)
+            entry.run(rows[first - 1 : stop - 1], first, upd[first - 1 : stop - 1],
+                      dlt[first - 1 : stop - 1], w_out)
+
+        ref = harness._SmCgEntry(cfg.algorithms[0], a0, cfg.gamma, scenario.noise_power)
+        state, policy = ref.state, ref.policy
+        ref_upd, ref_dlt = [], []
+        for r in rows:
+            y = np.vdot(state.w, r)
+            policy.update(np.vdot(a0, r), y, state.w, scenario.noise_power)
+            ref_dlt.append(policy.delta)
+            ref_upd.append(state.step(r, policy.delta, y).updated)
+        assert 0 < upd.sum() < 300
+        assert upd.tolist() == ref_upd
+        assert dlt.tobytes() == np.array(ref_dlt).tobytes()
+        assert entry.state.w.tobytes() == state.w.tobytes()
+        assert entry.state.r_hat.tobytes() == state.r_hat.tobytes()
 
 
 class TestPresets:
@@ -557,6 +603,30 @@ class TestEmitters:
         assert len(lines) == 1 + 10 * 3
         assert lines[1].startswith("1,smcg,")
         assert lines[-1].startswith("10,mvdr,")
+
+    def test_csv_formats_every_value_as_written_alone(self, tmp_path):
+        """Runs of equal values are formatted once; values that compare equal
+        but differ in their bits (0.0 and -0.0) are not one run."""
+        col = np.array([1.0, 1.0, 0.0, -0.0, -0.0, np.nan, np.nan, np.inf, 1 / 3, 1 / 3, 2.5])
+        n = len(col)
+        res = harness.AggregateResult(
+            label="x", runs=1, n_snapshots=n, master_seed=1, config_digest="",
+            algorithms=("a", "b"),
+            mean_sinr_db={"a": col, "b": col[::-1].copy()},
+            mean_delta={"a": np.zeros(n), "b": col * 7},
+            update_rate_cum={"a": np.arange(n) / n, "b": np.ones(n)},
+            mean_update_rate={}, max_constraint_error={},
+        )
+        path = tmp_path / "x.csv"
+        emit_csv(res, path)
+        expected = ["snapshot,algorithm,mean_sinr_db,mean_delta,update_rate_cum"] + [
+            f"{k + 1},{lab},{res.mean_sinr_db[lab][k]:.9g},{res.mean_delta[lab][k]:.9g},"
+            f"{res.update_rate_cum[lab][k]:.9g}"
+            for k in range(n)
+            for lab in ("a", "b")
+        ]
+        assert path.read_text().splitlines() == expected
+        assert "3,a,0," in path.read_text() and "4,a,-0," in path.read_text()
 
     def test_complexity_table_rows(self, tmp_path):
         path = tmp_path / "complexity.csv"

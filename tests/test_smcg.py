@@ -225,7 +225,7 @@ def test_update_matches_numpy_scalar_reference(monkeypatch, kind, gamma, m):
     for i in range(1, sc.n_snapshots + 1):
         r = generate_snapshot(sc, i, rng)
         y = np.vdot(state.w, r)
-        bound.update(state.steering, r, y, state.w, sc.noise_power)
+        bound.update(np.vdot(state.steering, r), y, state.w, sc.noise_power)
         delta = bound.delta
         if not abs(complex(y)) ** 2 > delta ** 2:
             assert not state.step(r, delta, y).updated
@@ -420,7 +420,7 @@ def _gated_run(sc, rows, gamma, policy):
     updated, ys, ws = [], [], []
     for r in rows:
         y = np.vdot(state.w, r)
-        bound.update(state.steering, r, y, state.w, sc.noise_power)
+        bound.update(np.vdot(state.steering, r), y, state.w, sc.noise_power)
         updated.append(state.step(r, bound.delta, y).updated)
         ys.append(y)
         ws.append(state.w)
