@@ -37,7 +37,7 @@ from .metrics import (
     complexity_counts,
     sinr_linear,
 )
-from .smcg import DegenerateLambdaError, SmCgState, lambda1_root
+from .smcg import DegenerateLambdaError, SmCgStack, SmCgState, lambda1_root
 
 __version__ = "0.1.0"
 
@@ -73,6 +73,7 @@ __all__ = [
     "complexity_counts",
     "sinr_linear",
     "DegenerateLambdaError",
+    "SmCgStack",
     "SmCgState",
     "lambda1_root",
     "__version__",

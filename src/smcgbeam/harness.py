@@ -19,8 +19,11 @@ entry of the roster sees the identical snapshot stream within a run and
 adding or removing one changes no other entry's trace. The engine draws
 each snapshot with ``generate_snapshot``, in order, into a block of at
 most ``_BLOCK`` snapshots that lies in one epoch. Each entry then runs
-through the block: the gated filters, SG and CG one snapshot per step,
-RLS the whole block in one call.
+through the block: SG and CG one snapshot per step, RLS the whole block in
+one call. The gated (``smcg``) entries run through it together, as the
+rows of one ``SmCgStack``: per snapshot each row's bound is refreshed and
+its gate tested, and the rows that accept are committed with one set of
+NumPy calls, bit for bit as each would be alone.
 
 Per-snapshot SINR is evaluated against the analytic epoch covariances and
 averaged across runs in the linear domain; update rates are averaged as
@@ -51,7 +54,7 @@ from .arrays import (
 from .baselines import ConstrainedCg, ConstrainedRls, FrostSg, NonFiniteUpdate, mvdr_weights
 from .bounds import FixedBound, PdbBound, PidbBound
 from .metrics import COMPLEXITY_ALGORITHMS, complexity_counts, constraint_error_rows, sinr_linear
-from .smcg import SmCgState
+from .smcg import SmCgStack, SmCgState
 
 _REQUIRED = inspect.Parameter.empty
 
@@ -305,7 +308,12 @@ def build_scenario(config: ExperimentConfig, rng: np.random.Generator) -> Scenar
 
 
 class _StepDiverged(Exception):
-    """A filter step failed; carries what went wrong and the snapshot."""
+    """A filter step failed; carries what went wrong, the snapshot and, for a
+    row of the gated stack, the row."""
+
+    def __init__(self, what: str, snapshot: int, row: int | None = None) -> None:
+        super().__init__(what, snapshot)
+        self.what, self.snapshot, self.row = what, snapshot, row
 
 
 class _Entry:
@@ -315,7 +323,8 @@ class _Entry:
     epoch, and writes per snapshot whether it updated and its bound into the
     given rows. It writes the post-step weights on row 0 and on every row
     where it updated; the engine reads no other rows of ``w_out``. A
-    ``ValueError`` out of a step becomes :class:`_StepDiverged`.
+    ``ValueError`` out of a step becomes :class:`_StepDiverged`. The gated
+    entries are advanced together by :class:`_GatedStack` instead.
     """
 
     def start_epoch(self, scenario: Scenario, i: int) -> None:
@@ -323,6 +332,8 @@ class _Entry:
 
 
 class _SmCgEntry(_Entry):
+    """A gated entry's state and bound policy; :class:`_GatedStack` runs it."""
+
     def __init__(self, spec: AlgoSpec, a0: np.ndarray, gamma: float, noise_power: float) -> None:
         params = dict(spec.params)
         policy = _BOUNDS[params.pop("bound", _DEFAULT_BOUND)]
@@ -332,41 +343,96 @@ class _SmCgEntry(_Entry):
             self.policy = FixedBound(**params)
         else:
             self.policy = policy(self.state.w, noise_power, **params)
+
+
+class _GatedStack:
+    """A run's gated entries, advanced as the rows of one :class:`SmCgStack`.
+
+    ``run`` advances them through one block as ``_Entry.run`` does, with
+    one leading row per entry in ``w_out``, and returns whether each entry
+    updated and its bound as ``(entries, snapshots)`` arrays. Per snapshot
+    every row's policy is refreshed and its state stepped, in roster order,
+    and the rows that accepted are committed together. ``w^H r`` is formed
+    for all rows with one ``vecdot``, which rounds each row as ``vdot``:
+    one snapshot at a time right after an update, and after a streak of
+    ``s`` snapshots that no row accepted, for the next ``4^s`` (up to the
+    end of the block). A gate that alternates then forms few outputs it
+    does not read, and a closed gate forms the rest of the block after its
+    fifth rejection. A ``ValueError`` out of a step becomes
+    :class:`_StepDiverged` naming the row.
+
+    A stack of one commits inside ``step``, so its loop leaves out the
+    per-row bookkeeping, which took about a tenth of that loop's time on
+    fig6's and fig9's single gated entry.
+    """
+
+    def __init__(self, entries, a0: np.ndarray, noise_power: float) -> None:
+        self.stack = SmCgStack([entry.state for entry in entries])
+        self.rows = [
+            (b, entry.state, entry.policy, entry.policy.update) for b, entry in enumerate(entries)
+        ]
         self.a0 = a0
         self.noise_power = noise_power
+        self.streak = 0  # snapshots since any row last updated
 
-    def run(self, block, first, upd, dlt, w_out) -> None:
-        """Advance the gated filter; outputs are formed a block at a time.
-
-        ``a0^H r`` is formed for the whole block at once, and ``w^H r`` for
-        the rest of the block at its start and at each rejection that
-        follows an update: the weights then hold until the next update.
-        Right after an update the next output is formed on its own, so an
-        open gate does not pay for a block of outputs per update.
-        ``vecdot`` rounds each row as ``vdot``.
-        """
-        state, policy, noise_power = self.state, self.policy, self.noise_power
-        update = policy.update
+    def run(self, block, first, w_out) -> tuple[np.ndarray, np.ndarray]:
+        stack, rows, noise_power = self.stack, self.rows, self.noise_power
+        count = len(block)
         y0s = np.vecdot(self.a0, block).tolist()
-        ys = np.vecdot(state.w, block).tolist()
-        current = True  # ys[k] is the output under the present weights
-        w_out[0] = state.w  # row 0's post-step weights unless it updates
+        w_out[:, 0] = stack.w  # row 0's post-step weights unless it updates
+        updated_flags, deltas = [], []
+        flag, bound = updated_flags.append, deltas.append
+        streak, ahead, start = self.streak, 0, 0  # outputs of block[start:ahead] formed
+        if len(rows) == 1:  # one gated entry: the loop without the stack's bookkeeping
+            ((_, state, policy, update),) = rows
+            for k, r in enumerate(block):
+                if k >= ahead:
+                    start, ahead = k, k + min(4 ** min(streak, 4), count - k)
+                    outputs = np.vecdot(state.w, block[start:ahead]).tolist()
+                y = outputs[k - start]
+                update(y0s[k], y, state.w, noise_power)
+                delta = policy.delta
+                try:
+                    updated = state.step(r, delta, y).updated
+                except ValueError as exc:
+                    raise _StepDiverged(str(exc), first + k, 0) from exc
+                flag(updated)
+                bound(delta)
+                if updated:
+                    w_out[0, k] = state.w
+                    streak, ahead = 0, k + 1
+                else:
+                    streak += 1
+            self.streak = streak
+            return np.array([updated_flags]), np.array([deltas])
         for k, r in enumerate(block):
-            w = state.w
-            y = ys[k] if current else np.vdot(w, r)
-            update(y0s[k], y, w, noise_power)
-            delta = policy.delta
-            try:
-                updated = upd[k] = state.step(r, delta, y).updated
-            except ValueError as exc:
-                raise _StepDiverged(str(exc), first + k) from exc
-            dlt[k] = delta
-            if updated:
-                w_out[k] = state.w
-                current = False
-            elif not current:
-                ys[k + 1 :] = np.vecdot(w, block[k + 1 :]).tolist()
-                current = True
+            if k >= ahead:
+                start, ahead = k, k + min(4 ** min(streak, 4), count - k)
+                outputs = np.vecdot(stack.w, block[start:ahead, None]).tolist()
+            ys = outputs[k - start]
+            y0 = y0s[k]
+            accepted = False
+            for b, state, policy, update in rows:
+                y = ys[b]
+                update(y0, y, state.w, noise_power)
+                delta = policy.delta
+                try:
+                    updated = state.step(r, delta, y).updated
+                except ValueError as exc:
+                    raise _StepDiverged(str(exc), first + k, b) from exc
+                flag(updated)
+                bound(delta)
+                if updated:
+                    accepted = True
+            if accepted:
+                stack.commit()
+                w_out[:, k] = stack.w
+                streak, ahead = 0, k + 1
+            else:
+                streak += 1
+        self.streak = streak
+        shape = (count, len(rows))
+        return np.reshape(updated_flags, shape).T, np.reshape(deltas, shape).T
 
 
 class _SgEntry(_Entry):
@@ -440,9 +506,12 @@ def _single_run(config, scenario, rng, a0, run=0):
 
     Blocks never straddle an epoch start. Within a block the snapshots are
     drawn first, one ``generate_snapshot`` call each, then each entry runs
-    through all of them; the SINR and the constraint error are evaluated in
-    one batch for the snapshots where the entry updated or an epoch starts,
-    and carried forward in between.
+    through all of them, the gated entries as one stack where the first of
+    them stands in the roster; the SINR and the constraint error are
+    evaluated in one batch for the snapshots where the entry updated or an
+    epoch starts, and carried forward in between. A failed step is reported
+    for the first gated entry that fails in snapshot order, then roster
+    order.
 
     Raises :class:`RunDivergedError` where finite weights give an
     interference-plus-noise output power ``w^H R_in w`` that rounds to zero
@@ -455,6 +524,10 @@ def _single_run(config, scenario, rng, a0, run=0):
         _ENTRIES[spec.kind](spec, a0, config.gamma, scenario.noise_power)
         for spec in config.algorithms
     ]
+    gated = [j for j, spec in enumerate(config.algorithms) if spec.kind == "smcg"]
+    stack_row = {j: b for b, j in enumerate(gated)}
+    if gated:
+        stack = _GatedStack([entries[j] for j in gated], a0, scenario.noise_power)
     sinr_lin = np.empty((n_alg, n))
     delta_arr = np.zeros((n_alg, n))
     upd_arr = np.zeros((n_alg, n), dtype=bool)
@@ -462,6 +535,7 @@ def _single_run(config, scenario, rng, a0, run=0):
     current = np.full(n_alg, math.nan)
     block = np.empty((_BLOCK, scenario.geometry.n_sensors), dtype=complex)
     w_block = np.empty_like(block)
+    w_gated = np.empty((len(gated),) + block.shape, dtype=complex)
     starts = [start for start, _ in scenario.epochs] + [n + 1]
 
     for start, stop in zip(starts, starts[1:]):
@@ -476,30 +550,37 @@ def _single_run(config, scenario, rng, a0, run=0):
                 rows[k] = generate_snapshot(scenario, first + k, rng)
             cols = slice(first - 1, first - 1 + count)
             for j, entry in enumerate(entries):
-                upd = upd_arr[j, cols]
+                b = stack_row.get(j)
                 try:
-                    entry.run(rows, first, upd, delta_arr[j, cols], w_block)
+                    if b is None:
+                        entry.run(rows, first, upd_arr[j, cols], delta_arr[j, cols], w_block)
+                        w_rows = w_block
+                    else:
+                        if b == 0:  # the stack advances where its first entry stands
+                            upd_arr[gated, cols], delta_arr[gated, cols] = stack.run(
+                                rows, first, w_gated
+                            )
+                        w_rows = w_gated[b]
                 except _StepDiverged as exc:
-                    what, snapshot = exc.args
+                    label = config.algorithms[j if exc.row is None else gated[exc.row]].label
                     raise RunDivergedError(
-                        f"run {run}: {what} for algorithm "
-                        f"{config.algorithms[j].label!r} at snapshot {snapshot}"
+                        f"run {run}: {exc.what} for algorithm {label!r} at snapshot {exc.snapshot}"
                     ) from exc
-                fresh = upd.copy()
+                fresh = upd_arr[j, cols].copy()
                 fresh[0] |= first == start
                 idx = np.flatnonzero(fresh)
-                vals = sinr_linear(w_block[idx], des_cov, int_cov)
+                vals = sinr_linear(w_rows[idx], des_cov, int_cov)
                 failed = np.isnan(vals)
                 if failed.any():
                     row = idx[np.argmax(failed)]
-                    if np.isfinite(w_block[row].view(float)).all():
+                    if np.isfinite(w_rows[row].view(float)).all():
                         raise RunDivergedError(
                             f"run {run}: the weights are finite but the interference-plus-"
                             f"noise output power is not positive for algorithm "
                             f"{config.algorithms[j].label!r} at snapshot {first + row}"
                         )
                 ok = idx[~failed]
-                errs = constraint_error_rows(w_block[ok], a0, config.gamma)
+                errs = constraint_error_rows(w_rows[ok], a0, config.gamma)
                 cons_err[j] = np.fmax.reduce(errs, initial=cons_err[j])
                 filled = np.concatenate(([current[j]], vals))[np.cumsum(fresh)]
                 sinr_lin[j, cols] = filled

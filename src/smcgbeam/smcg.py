@@ -34,11 +34,20 @@ reciprocal, and the two disagree in the last bit on about 42 % of random
 quotients. The root therefore writes NumPy's division out in floats for
 its two quotients, the complex sign and the ratio form, so that every
 lambda1 is the one the NumPy-scalar version of the update computed.
+
+Filters that see the same snapshots advance together as the rows of an
+:class:`SmCgStack`. Per snapshot the stack forms every row's inner
+products with one set of stacked NumPy calls, each accepting row solves
+its own lambda1 and alpha, and one set of calls commits all of them. The
+stacked forms round as the per-filter ones, so a row ends each snapshot
+bit for bit as the filter would alone; a filter built on its own is a
+stack of one.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
 
@@ -150,6 +159,19 @@ def lambda1_root(
         raise DegenerateLambdaError(f"gate condition not representable: {exc}") from exc
 
 
+def _row_field(name: str) -> property:
+    """``name`` of a filter: its row of the stack; assigning writes into the row."""
+    attr = "_" + name
+
+    def get(self):
+        return getattr(self, attr)
+
+    def set_(self, value):
+        getattr(self, attr)[...] = value
+
+    return property(get, set_, doc=f"``{name}``, this filter's row of its stack.")
+
+
 class SmCgState:
     """State of the set-membership conjugate-gradient beamformer.
 
@@ -166,7 +188,17 @@ class SmCgState:
         Clamp applied to the data-dependent forgetting factor.
     r_hat_init : float
         Diagonal loading of the initial covariance estimate.
+
+    ``v``, ``g``, ``p`` and ``r_hat`` are this filter's row of an
+    :class:`SmCgStack`. A state built on its own is a stack of one, which
+    commits each update before :meth:`step` returns. ``steering``, ``gamma``
+    and the clamp are read when the state joins a stack.
     """
+
+    v = _row_field("v")
+    g = _row_field("g")
+    p = _row_field("p")
+    r_hat = _row_field("r_hat")
 
     def __init__(
         self,
@@ -208,28 +240,20 @@ class SmCgState:
         self.lambda1_max = float(lambda1_max)
 
         m = steering.size
-        self.v = np.zeros(m, dtype=complex)
-        self.g = steering.copy()
-        self.p = steering.copy()
-        self.r_hat = r_hat_init * np.eye(m, dtype=complex)
+        self._v = np.zeros(m, dtype=complex)
+        self._g = steering.copy()
+        self._p = steering.copy()
+        self._r_hat = r_hat_init * np.eye(m, dtype=complex)
         self.w = self.gamma * steering / norm_sq
         self.update_count = 0
         self.updated = False
-        self._forms = None  # the update's shared inner products while it solves for lambda1
+        self._forms = None  # the update's inner products while it solves for lambda1
+        SmCgStack([self])
 
-    def _inner_products(self, r: np.ndarray) -> tuple[float, complex, complex, complex]:
-        """The inner products that lambda1, alpha and the commit all read.
-
-        ``Re p^H R p``, ``v^H r``, ``g^H p`` and ``p^H r`` of the pre-update
-        state, as Python numbers.
-        """
-        p = self.p
-        return (
-            float(np.vdot(p, self.r_hat @ p).real),
-            complex(np.vdot(self.v, r)),
-            complex(np.vdot(self.g, p)),
-            complex(np.vdot(p, r)),
-        )
+    def _join(self, stack: SmCgStack, row: int) -> None:
+        self._stack, self._row = stack, row
+        self._v, self._g, self._p = stack.v[row], stack.g[row], stack.p[row]
+        self._r_hat = stack.r_hat[row]
 
     def compute_lambda1(self, r: np.ndarray, delta: float) -> float:
         """Clamped forgetting factor for an accepted snapshot.
@@ -238,14 +262,11 @@ class SmCgState:
         ``|w^H r| = |gamma| |v^H r| / |v^H a0|`` with ``delta``, and the root
         puts ``|v^H r| / |v^H a0|`` on its bound. A clamp of zero width pins
         the factor, so no root is solved. Inside :meth:`step` the inner
-        products the step has formed are reused; the root alone reads
-        ``v^H a0`` and ``p^H a0``.
+        products the stack has formed for the snapshot are reused.
         """
         if self.lambda1_min == self.lambda1_max:
             return self.lambda1_max
-        p_r_p, vr, gp, pr = self._forms or self._inner_products(r)
-        va = complex(np.vdot(self.v, self.steering))
-        pa = complex(np.vdot(self.p, self.steering))
+        p_r_p, vr, gp, pr, va, pa = self._forms or self._stack.products(r)[self._row]
         lam = lambda1_root(p_r_p, vr, va, gp, pr, pa, delta / abs(self.gamma), self.eta)
         return min(max(lam, self.lambda1_min), self.lambda1_max)
 
@@ -280,9 +301,11 @@ class SmCgState:
         field untouched. ``w`` is rebound on an update, never written in
         place, so a caller may hold on to an earlier ``w``.
 
-        An update forms its inner products once; lambda1, alpha and the
-        commit read them (``r^H v`` as the conjugate of ``v^H r``, and
-        ``Re p^H g`` as ``Re g^H p``, which round alike).
+        An update solves lambda1 and alpha on the inner products its stack
+        forms once per snapshot (``r^H v`` as the conjugate of ``v^H r``,
+        and ``Re p^H g`` as ``Re g^H p``, which round alike), then hands
+        them to the stack, which commits it with the other rows that
+        accept the snapshot.
         """
         if delta < 0.0:
             raise ValueError("delta must be non-negative")
@@ -290,27 +313,198 @@ class SmCgState:
         if not self.updated:
             return self
 
-        self._forms = forms = self._inner_products(r)
+        stack = self._stack
+        self._forms = forms = stack.forms(r)[self._row]
         try:
             lam = self.compute_lambda1(r, delta)
         except DegenerateLambdaError:
             lam = self.lambda1_max
         finally:
             self._forms = None
-        p_r_p, vr, gp, pr = forms
+        p_r_p, vr, gp, pr, _, _ = forms
         rv = vr.conjugate()
         alpha = self.compute_alpha(lam, p_r_p, pr, gp.real, rv)
-
-        # all scalars resolved; commit the state in the recursion order
-        self.r_hat += lam * (r[:, None] * r.conj())
-        rp = self.r_hat @ self.p
-        self.v = self.v + alpha * self.p
-        self.g = self.g - alpha * rp - lam * rv * r
-        beta = complex(-np.vdot(self.p, self.r_hat @ self.g) / np.vdot(self.p, rp).real)
-        self.p = self.g + beta * self.p
-
-        av = np.vdot(self.steering, self.v)
-        if av != 0.0:  # else v lost the constrained component: keep the feasible w
-            self.w = self.gamma * self.v / av
         self.update_count += 1
+        stack.stage(self._row, lam, alpha, rv)
         return self
+
+
+class SmCgStack:
+    """Gated filters advanced together, one row per filter.
+
+    Holds ``r_hat`` as ``(B, m, m)`` and ``v``, ``g``, ``p``, ``w`` as
+    ``(B, m)``; each :class:`SmCgState` reads and writes its own row. All
+    rows step on the same snapshot ``r``: the first row that accepts it
+    forms the inner products of every row at once (:meth:`forms`), each
+    accepting row solves its own lambda1 and alpha in Python numbers, and
+    :meth:`commit` then applies every staged update with one set of NumPy
+    calls. A stack of one commits as its row stages, so a lone state needs
+    no :meth:`commit`.
+
+    The stacked forms round as the per-filter ones: a stacked ``matvec``
+    and ``vecdot`` equal ``R @ p`` and ``vdot`` row by row, a ``(B, 1)``
+    real or complex column times ``(B, m)`` equals a scalar times each
+    row, and an array division equals NumPy's scalar division. So every
+    row ends each snapshot as it would have alone.
+
+    ``w`` is rebound by every commit that changes it and never written in
+    place, so the weights a row held stay valid. The stack holds its
+    states weakly; the caller keeps them.
+    """
+
+    def __init__(self, states) -> None:
+        states = list(states)
+        # each state holds its stack, and the stack its rows' states only
+        # weakly: a cycle would keep a run's arrays until the collector ran
+        self._states = [weakref.ref(state) for state in states]
+        self.r_hat = np.array([s._r_hat for s in states])
+        # v and p side by side, so one vecdot forms v^H x and p^H x together
+        self._vp = np.array([[s._v for s in states], [s._p for s in states]])
+        self.v, self.p = self._vp
+        self.g = np.array([s._g for s in states])
+        self.w = np.array([s.w for s in states])
+        self.steering = np.array([s.steering for s in states])
+        # complex columns: (x, +0) is the operand NumPy makes of a float times a complex array
+        self.gamma = np.array([[s.gamma] for s in states], dtype=complex)
+        self._solves = any(s.lambda1_min < s.lambda1_max for s in states)
+        self._single = len(states) == 1
+        self._snapshot = self._forms = None
+        self._staged: list[tuple[int, float, float, complex]] = []
+        for row, state in enumerate(states):
+            state._join(self, row)
+
+    def products(self, r: np.ndarray) -> list[tuple]:
+        """Per row, the inner products an update reads, as Python numbers.
+
+        ``(Re p^H R p, v^H r, g^H p, p^H r, v^H a0, p^H a0)``; the last two,
+        which only a root reads, are ``None`` when every row's clamp pins
+        lambda1. One row forms them on its own views with ``vdot``, as a
+        lone filter does; several with one stacked call per product.
+        """
+        if self._single:
+            state = self._states[0]()
+            p, v, a0 = state._p, state._v, state.steering
+            forms = (
+                float(np.vdot(p, np.matvec(state._r_hat, p)).real),
+                complex(np.vdot(v, r)),
+                complex(np.vdot(state._g, p)),
+                complex(np.vdot(p, r)),
+            )
+            if self._solves:
+                return [forms + (complex(np.vdot(v, a0)), complex(np.vdot(p, a0)))]
+            return [forms + (None, None)]
+        p = self.p
+        p_r_p = np.vecdot(p, np.matvec(self.r_hat, p)).real.tolist()
+        vr, pr = np.vecdot(self._vp, r).tolist()
+        gp = np.vecdot(self.g, p).tolist()
+        if self._solves:
+            va, pa = np.vecdot(self._vp, self.steering).tolist()
+        else:
+            va = pa = [None] * len(p)
+        return list(zip(p_r_p, vr, gp, pr, va, pa))
+
+    def forms(self, r: np.ndarray) -> list[tuple]:
+        """:meth:`products` at snapshot ``r``, formed once until the next commit."""
+        if self._snapshot is not r:
+            self._snapshot, self._forms = r, self.products(r)
+        return self._forms
+
+    def stage(self, row: int, lam: float, alpha: float, rv: complex) -> None:
+        """Queue row ``row``'s update at the snapshot of :meth:`forms`.
+
+        Takes the clamped lambda1, the step alpha and ``r^H v``. A stack of
+        one commits the update at once.
+        """
+        if self._single:
+            self._apply(row, None, lam, alpha, lam * rv)
+        else:
+            self._staged.append((row, lam, alpha, rv))
+
+    def commit(self) -> None:
+        """Apply every update staged at the current snapshot.
+
+        One row is updated on its own views and Python scalars. Several are
+        updated in place when they are all the rows or a contiguous span of
+        them, else gathered and written back.
+        """
+        if not self._staged:
+            return
+        staged, self._staged = sorted(self._staged, key=lambda s: s[0]), []
+        rows, lams, alphas, rvs = (list(col) for col in zip(*staged))
+        lam_rv = [lam * rv for lam, rv in zip(lams, rvs)]
+        lo, hi = rows[0], rows[-1] + 1
+        if hi - lo < len(rows):
+            raise ValueError("a row was staged twice at one snapshot")
+        if len(rows) == 1:
+            self._apply(lo, None, lams[0], alphas[0], lam_rv[0])
+            return
+        if len(rows) == len(self._states):
+            sel = None
+        else:
+            sel = slice(lo, hi) if hi - lo == len(rows) else rows
+        self._apply(
+            sel, rows, np.array(lams, dtype=complex)[:, None, None],
+            np.array(alphas, dtype=complex)[:, None], np.array(lam_rv)[:, None],
+        )
+
+    def _apply(self, sel, rows, lam, alpha, lam_rv) -> None:
+        """The recursion of one update, on the rows ``sel`` selects.
+
+        One row (``rows`` is ``None``, ``sel`` its index) is updated on its
+        own views, with ``vdot`` and Python scalars, as a lone filter is.
+        Several rows are a slice, a list, or ``None`` for all of them, with
+        ``rows`` listing them in order; ``lam``, ``alpha`` and ``lam_rv``
+        (lambda1 times ``r^H v``) are then columns with one entry per row.
+        Every operation keeps the operand order of the single-filter
+        recursion.
+        """
+        r = self._snapshot
+        self._snapshot = self._forms = None
+        single = rows is None
+        if single:
+            state = self._states[sel]()
+            r_hat, v, g, p = state._r_hat, state._v, state._g, state._p
+            a0, gamma, dot = state.steering, state.gamma, np.vdot
+        else:
+            fields = (self.r_hat, self.v, self.g, self.p, self.steering, self.gamma)
+            r_hat, v, g, p, a0, gamma = fields if sel is None else [x[sel] for x in fields]
+            dot = np.vecdot
+        r_hat += lam * (r[:, None] * r.conj())
+        rp = np.matvec(r_hat, p)
+        v += alpha * p
+        g -= alpha * rp
+        g -= lam_rv * r
+        beta = -dot(p, np.matvec(r_hat, g))
+        beta /= dot(p, rp).real
+        np.multiply(beta if single else beta[:, None], p, out=p)
+        np.add(g, p, out=p)
+        av = dot(a0, v)
+
+        # a row whose v lost the constrained component keeps its feasible w
+        if single:
+            if av != 0.0:
+                state.w = gamma * v / av
+                if self._single:
+                    self.w = state.w[None]
+                else:
+                    self.w = self.w.copy()
+                    self.w[sel] = state.w
+            return
+        if isinstance(sel, list):  # gathered rows are copies
+            self.r_hat[sel], self.v[sel], self.g[sel], self.p[sel] = r_hat, v, g, p
+        avs = av.tolist()
+        if 0.0 in avs:
+            kept = [i for i, x in enumerate(avs) if x != 0.0]
+            if not kept:
+                return
+            rows = [rows[i] for i in kept]
+            gamma, v, av = gamma[kept], v[kept], av[kept]
+        w = gamma * v / av[:, None]
+        lo, hi = rows[0], rows[-1] + 1
+        if len(rows) == len(self.w):
+            self.w = w
+        else:
+            self.w = self.w.copy()
+            self.w[slice(lo, hi) if hi - lo == len(rows) else rows] = w
+        for row in rows:
+            self._states[row]().w = self.w[row]

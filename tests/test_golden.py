@@ -1,4 +1,4 @@
-"""Every preset's CSV, and one configuration beyond them, byte for byte.
+"""Every preset's CSV, and two configurations beyond them, byte for byte.
 
 The CSVs are the behavioural oracle of a refactor: a change that keeps the
 numbers keeps these digests. Each preset runs 2 Monte-Carlo runs at its
@@ -58,3 +58,27 @@ def test_off_preset_csv_matches_its_digest(tmp_path):
     path = tmp_path / "off_preset.csv"
     emit_csv(run_experiment(OFF_PRESET), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == OFF_PRESET_SHA256
+
+
+# The edges of the gated stack: five gated entries at m = 16, gates that
+# accept 9-100 % of snapshots, a PDB bound with eta = 0.3, a PIDB bound
+# with lighter loading, and one entry whose clamp pins lambda1 at 0.9.
+STACK_EDGES = ExperimentConfig(
+    label="stack_edges", m=16, n_snapshots=600, runs=2,
+    algorithms=(
+        algo("smcg_d08", "smcg", bound="fixed", delta=0.8),
+        algo("smcg_d13", "smcg", bound="fixed", delta=1.3),
+        algo("smcg_pdb", "smcg", bound="pdb", eta=0.3),
+        algo("smcg_pidb", "smcg", bound="pidb", r_hat_init=10.0),
+        algo("smcg_pinned", "smcg", bound="fixed", delta=1.0, lambda1_min=0.9, lambda1_max=0.9),
+        algo("cg", "cg"),
+        algo("mvdr", "mvdr"),
+    ),
+)
+STACK_EDGES_SHA256 = "240acfce60041b67af4be26582a9a5d96ed5157393e43f075a71fc1b52fc3ab3"
+
+
+def test_stack_edges_csv_matches_its_digest(tmp_path):
+    path = tmp_path / "stack_edges.csv"
+    emit_csv(run_experiment(STACK_EDGES), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == STACK_EDGES_SHA256

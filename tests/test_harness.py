@@ -394,6 +394,56 @@ class TestRunExperiment:
             "for algorithm 'x' at snapshot 280"
         )
 
+    def test_failed_stacked_step_names_its_entry(self, monkeypatch):
+        """The second of three gated entries, advanced as one stack, fails:
+        the message names it and the snapshot where it failed."""
+        cfg = tiny_config(n_snapshots=300, runs=2, algorithms=(
+            algo("a", "smcg"), algo("b", "smcg", eta=0.25), algo("c", "smcg"),
+        ))
+        step = harness.SmCgState.step
+        calls = []
+
+        def failing(self, r, delta, y):
+            if self.eta == 0.25:
+                calls.append(r)
+                if len(calls) == 280:
+                    raise ValueError("covariance estimate lost positive definiteness")
+            return step(self, r, delta, y)
+
+        monkeypatch.setattr(harness.SmCgState, "step", failing)
+        with pytest.raises(RunDivergedError) as err:
+            run_experiment(cfg)
+        assert str(err.value) == (
+            "run 0: covariance estimate lost positive definiteness "
+            "for algorithm 'b' at snapshot 280"
+        )
+
+    def test_alternating_gate_forms_few_outputs(self, monkeypatch):
+        """fig5's PDB entry accepts about 84 % of snapshots, in short streaks.
+        Its outputs ``w^H r`` are formed for at most twice the snapshots."""
+        (fig5,) = preset("fig5", runs=1)
+        cfg = replace(fig5, algorithms=tuple(
+            spec for spec in fig5.algorithms if spec.label in ("smcg_pdb", "mvdr")
+        ))
+        steering, vecdot = harness.steering_vector, np.vecdot
+        a0s, formed = [], []
+
+        def recording_steering(*args):
+            a0s.append(steering(*args))
+            return a0s[-1]
+
+        def counting_vecdot(x1, x2, **kwargs):
+            out = vecdot(x1, x2, **kwargs)
+            if x1.ndim == 1 and x1 is not a0s[-1]:  # the weights, not a0 nor a stack's rows
+                formed.append(out.size)
+            return out
+
+        monkeypatch.setattr(harness, "steering_vector", recording_steering)
+        monkeypatch.setattr(harness.np, "vecdot", counting_vecdot)
+        result = run_experiment(cfg)
+        assert 0.7 < result.mean_update_rate["smcg_pdb"] < 0.95
+        assert cfg.n_snapshots <= sum(formed) <= 2 * cfg.n_snapshots
+
     @pytest.mark.parametrize(
         "case",
         [
@@ -475,12 +525,10 @@ class TestRunExperiment:
         a0 = steering_vector(scenario.geometry, scenario.desired_doa_deg)
         rows = np.array([generate_snapshot(scenario, i, rng) for i in range(1, 301)])
         entry = harness._SmCgEntry(cfg.algorithms[0], a0, cfg.gamma, scenario.noise_power)
-        upd, dlt = np.zeros(300, dtype=bool), np.zeros(300)
-        w_out = np.empty_like(rows)
-        for first in (1, 257):
-            stop = min(first + harness._BLOCK, 301)
-            entry.run(rows[first - 1 : stop - 1], first, upd[first - 1 : stop - 1],
-                      dlt[first - 1 : stop - 1], w_out)
+        stack = harness._GatedStack([entry], a0, scenario.noise_power)
+        w_out = np.empty((1,) + rows.shape, dtype=complex)
+        blocks = [stack.run(rows[first - 1 : first + 255], first, w_out) for first in (1, 257)]
+        upd, dlt = (np.concatenate(parts, axis=1)[0] for parts in zip(*blocks))
 
         ref = harness._SmCgEntry(cfg.algorithms[0], a0, cfg.gamma, scenario.noise_power)
         state, policy = ref.state, ref.policy

@@ -34,7 +34,7 @@ from smcgbeam.arrays import (
 from smcgbeam.bounds import FixedBound, PdbBound, PidbBound
 from smcgbeam.harness import ExperimentConfig, algo, run_experiment
 from smcgbeam.metrics import sinr_linear
-from smcgbeam.smcg import DegenerateLambdaError, SmCgState
+from smcgbeam.smcg import DegenerateLambdaError, SmCgStack, SmCgState
 
 
 def small_scenario(m=6, seed=11, n=400):
@@ -293,6 +293,188 @@ def test_update_calls_seen_by_a_tracer(monkeypatch):
     assert calls["lambda1", True] == pinned_updates == cfg.runs * cfg.n_snapshots
     assert calls["root", True] == 0
     assert calls["alpha"] == solved + pinned_updates
+
+
+# ---------------------------------------------------------------------------
+# a stack of filters against the same filters advanced alone, bit for bit
+# ---------------------------------------------------------------------------
+
+# Per row: state keywords and bound. Fixed, PDB and PIDB bounds; other eta,
+# loading and clamps; a clamp pinned to one value.
+_STACK_ROWS = (
+    (dict(), ("fixed", 3.0)),
+    (dict(eta=0.3, r_hat_init=10.0), ("pdb",)),
+    (dict(lambda1_min=0.2, lambda1_max=0.95), ("fixed", 3.1)),
+    (dict(lambda1_min=0.9, lambda1_max=0.9), ("fixed", 3.3)),
+    (dict(r_hat_init=1.0), ("pidb",)),
+)
+
+
+def _gated_filter(a0, gamma, noise_power, keywords, bound):
+    state = SmCgState(a0, gamma=gamma, **keywords)
+    if bound[0] == "fixed":
+        return state, FixedBound(bound[1] * abs(gamma))
+    policy = PdbBound if bound[0] == "pdb" else PidbBound
+    return state, policy(state.w, noise_power)
+
+
+def _stack_against_alone(monkeypatch, rows, m, gamma, n=300, prepare=lambda filters: None):
+    """Drive ``rows`` as one stack and as lone filters over the same snapshots.
+
+    After every snapshot, asserts that each row's gate decision or raised
+    error, lambda1, alpha, ``v``, ``g``, ``p``, ``R`` and ``w`` equal its
+    lone twin's bit for bit. Returns each snapshot's outcomes.
+    """
+    sources = (Source(90.0, 10.0), Source(48.0, 100.0), Source(126.0, 100.0))
+    sc = Scenario(geometry=ArrayGeometry(m), epochs=((1, sources[: min(m, 3)]),),
+                  noise_power=1.0, n_snapshots=n)
+    rng = np.random.default_rng(m)
+    a0 = steering_vector(sc.geometry, 90.0)
+    stacked = [_gated_filter(a0, gamma, sc.noise_power, *row) for row in rows]
+    alone = [_gated_filter(a0, gamma, sc.noise_power, *row) for row in rows]
+    prepare(stacked)
+    prepare(alone)
+    stack = SmCgStack([state for state, _ in stacked])
+    seen = {}
+    compute_lambda1, compute_alpha = SmCgState.compute_lambda1, SmCgState.compute_alpha
+
+    def recording_lambda1(self, r, delta):
+        seen[self, "lambda1"] = compute_lambda1(self, r, delta)
+        return seen[self, "lambda1"]
+
+    def recording_alpha(self, *args):
+        seen[self, "alpha"] = compute_alpha(self, *args)
+        return seen[self, "alpha"]
+
+    monkeypatch.setattr(SmCgState, "compute_lambda1", recording_lambda1)
+    monkeypatch.setattr(SmCgState, "compute_alpha", recording_alpha)
+
+    def advance(filters, r):
+        y0 = np.vdot(a0, r)
+        outcomes = []
+        for state, policy in filters:
+            y = np.vdot(state.w, r)
+            policy.update(y0, y, state.w, sc.noise_power)
+            outcomes.append(outcome(lambda: state.step(r, policy.delta, y).updated))
+        return outcomes
+
+    history = []
+    for i in range(1, n + 1):
+        r = generate_snapshot(sc, i, rng)
+        seen.clear()
+        got = advance(stacked, r)
+        stack.commit()
+        assert got == advance(alone, r), i
+        for (state, _), (twin, _) in zip(stacked, alone):
+            for key in ("lambda1", "alpha"):
+                assert same_bits(seen.get((state, key)), seen.get((twin, key))), (i, key)
+            for name in ("v", "g", "p", "r_hat", "w"):
+                assert same_bits(getattr(state, name), getattr(twin, name)), (i, name)
+        history.append(got)
+    return history
+
+
+@pytest.mark.parametrize("m", [2, 16, 64])
+@pytest.mark.parametrize("gamma", [1.0, -3.0])
+def test_stack_matches_its_members_alone(monkeypatch, m, gamma):
+    """Five filters as one stack, each equal to itself advanced alone, over
+    snapshots where no row, some rows (the accepting ones not adjacent) and
+    every row accept."""
+    history = _stack_against_alone(monkeypatch, _STACK_ROWS, m, gamma)
+    accepted = [[b for b, got in enumerate(row) if got == ("returned", True)] for row in history]
+    assert any(not rows for rows in accepted)
+    assert any(len(rows) == len(_STACK_ROWS) for rows in accepted)
+    assert any(rows and rows[-1] - rows[0] >= len(rows) for rows in accepted)
+
+
+def test_stack_row_that_raises_leaves_the_others_as_alone(monkeypatch):
+    """A row whose estimate is not positive definite raises at each update it
+    tries; it stays as it was, and the rows beside it commit as alone."""
+
+    def indefinite_middle(filters):
+        filters[1][0].r_hat = -1e6 * np.eye(16)
+
+    history = _stack_against_alone(
+        monkeypatch, _STACK_ROWS[:3], 16, 1.0, prepare=indefinite_middle
+    )
+    raised = [row[1] for row in history if row[1][0] == "raised"]
+    assert raised and all(
+        got == ("raised", ValueError, "covariance estimate lost positive definiteness")
+        for got in raised
+    )
+    assert sum(row[0] == ("returned", True) for row in history) > 20
+
+
+def test_beta_array_division_matches_numpy_scalar_division():
+    """The stack forms beta as one array division; it rounds as NumPy's
+    scalar division of each row, zero denominators included."""
+    rng = np.random.default_rng(10)
+    num = rng.standard_normal(50_000) + 1j * rng.standard_normal(50_000)
+    num *= 10.0 ** rng.uniform(-150, 150, num.size)
+    den = rng.standard_normal(num.size) * 10.0 ** rng.uniform(-150, 150, num.size)
+    got = -num / den
+    want = np.array([-a / d for a, d in zip(num, den)])
+    assert got.tobytes() == want.tobytes()
+
+    zeros = np.array([1.0 - 2.0j, -3.0 + 0.5j, 0.0j, 2.0 + 0.0j, complex(0.0, -1.0)])
+    with pytest.warns(RuntimeWarning):
+        got = -zeros / np.zeros(zeros.size)
+    with pytest.warns(RuntimeWarning):
+        want = np.array([-a / np.float64(0.0) for a in zeros])
+    assert got.tobytes() == want.tobytes()
+    assert not np.isfinite(got).any()
+
+
+def _beta_denominator_zero(state, r, lam):
+    """Set ``R`` so that the updated estimate has ``p = e_1`` in its null
+    space but not in its left null space: beta's denominator is exactly 0
+    and its numerator is not."""
+    m = len(r)
+    outer = lam * (r[:, None] * r.conj())
+    r_hat = np.eye(m, dtype=complex) - outer
+    r_hat[:, 0] = -outer[:, 0]
+    r_hat[0, 1] += 1.0
+    state.r_hat = r_hat
+    state.p = np.eye(m, dtype=complex)[0]
+
+
+def test_zero_beta_denominator_matches_the_numpy_scalar_update():
+    """An update whose beta divides by an exact zero gives the non-finite
+    ``p`` and the RuntimeWarning of the update in NumPy scalars, alone and
+    as one row of a stack."""
+    rng = np.random.default_rng(3)
+    a0 = np.ones(4, dtype=complex)
+    lam = 0.9
+    for _ in range(100):  # a snapshot where alpha's denominator rounds positive
+        r = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        probe = SmCgState(a0, lambda1_min=lam, lambda1_max=lam)
+        _beta_denominator_zero(probe, r, lam)
+        if float(np.vdot(probe.p, probe.r_hat @ probe.p).real) + lam * abs(r[0]) ** 2 > 0.0:
+            break
+    else:
+        pytest.fail("no snapshot with a positive line-search denominator")
+
+    lone = SmCgState(a0, lambda1_min=lam, lambda1_max=lam)
+    _beta_denominator_zero(lone, r, lam)
+    with pytest.warns(RuntimeWarning):
+        want = update_reference(lone, r, 0.0)
+    _, alpha, *fields = want
+    assert not np.isfinite(fields[2]).all()  # p
+
+    others = [SmCgState(a0) for _ in range(2)]
+    stacked = SmCgState(a0, lambda1_min=lam, lambda1_max=lam)
+    _beta_denominator_zero(stacked, r, lam)
+    rows = [others[0], stacked, others[1]]
+    stack = SmCgStack(rows)
+    with pytest.warns(RuntimeWarning):
+        assert lone.step(r, 0.0, np.vdot(lone.w, r)).updated
+    with pytest.warns(RuntimeWarning):
+        for state in rows:
+            assert state.step(r, 0.0, np.vdot(state.w, r)).updated
+        stack.commit()
+    for state in (lone, stacked):
+        for name, value in zip(("v", "g", "p", "r_hat", "w"), fields):
+            assert same_bits(getattr(state, name), value), name
 
 
 # ---------------------------------------------------------------------------
