@@ -159,26 +159,110 @@ def epoch_index(scenario: Scenario, i: int) -> int:
     return bisect_right(scenario._starts, i) - 1
 
 
-def generate_snapshot(scenario: Scenario, i: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw one received vector ``r = A s + n`` at snapshot ``i``.
+def generate_snapshot(
+    scenario: Scenario, i: int, rng: np.random.Generator, block: SnapshotBlock | None = None
+) -> np.ndarray | None:
+    """Draw the received vector ``r = A s + n`` at snapshot ``i``.
 
-    Symbols are drawn first (one per active source, desired source first),
-    then the noise vector, so a generator with a fixed seed reproduces the
-    identical snapshot.
+    Without ``block``, return ``r``, drawn and formed through a block of
+    one. With ``block``, make only the snapshot's draws, into the block,
+    and return nothing; ``block.form()`` then forms every ``r`` drawn
+    into it at once. Both give the same bits.
+
+    RNG-stream contract: per snapshot, the BPSK symbols of the sources
+    active at ``i``, desired source first, then the noise, real parts
+    first. The symbols are exactly ``rng.integers(0, 2, size=q)``: bit 31
+    of successive 32-bit halves of ``rng.bit_generator.random_raw``, low
+    half first, so an odd leftover half carries to the next snapshot in
+    the generator's buffer, as it does for ``integers``. The noise is
+    ``rng.standard_normal(2 * m)``, the same numbers as two
+    ``standard_normal(m)`` calls. The bit generator must buffer a 32-bit
+    half (``has_uint32`` in its state, as PCG64, PCG64DXSM, Philox and
+    SFC64 do); for any other, such as MT19937, a ``ValueError`` names it.
 
     Every part rounds as in ``A @ (amps * symbols) + scale * (re + 1j * im)``:
     a symbol of +-1 only picks the sign of its amplitude, the noise parts
     are scaled one real product each, and the sum is the same in either
     order.
     """
-    mat, amps, neg_amps, _, _ = scenario._epoch_tables[epoch_index(scenario, i)]
-    bits = rng.integers(0, 2, size=len(amps))
-    m = len(mat)
-    noise = rng.standard_normal(2 * m)  # real parts first: the stream of two m-draws
-    r = np.empty(m, dtype=complex)
-    np.multiply(noise.reshape(2, m).T, scenario._noise_scale, out=r.view(float).reshape(m, 2))
-    r += mat @ np.where(bits, amps, neg_amps)
-    return r
+    if block is None:
+        block = SnapshotBlock(scenario, 1, rng)
+        block.draw(epoch_index(scenario, i), rng)
+        return block.form()[0]
+    block.draw(epoch_index(scenario, i), rng)
+
+
+class SnapshotBlock:
+    """Up to ``size`` snapshots of one epoch, drawn one by one, formed at once.
+
+    ``draw`` makes one snapshot's draws, in the order ``generate_snapshot``
+    documents; ``form`` forms ``r`` for every snapshot drawn since the last
+    ``form``. The generator's buffered half is read once, here, and handed
+    back whenever a draw changes it, so after each draw the generator
+    stands where ``integers`` would leave it. Between draws only this
+    block may draw 32-bit halves from ``rng``.
+    """
+
+    def __init__(self, scenario: Scenario, size: int, rng: np.random.Generator) -> None:
+        state = rng.bit_generator.state
+        if "has_uint32" not in state:
+            raise ValueError(
+                f"snapshots need a bit generator that buffers a 32-bit half; "
+                f"{state['bit_generator']} does not"
+            )
+        m = scenario.geometry.n_sensors
+        self.scenario = scenario
+        self.q = [len(sources) for _, sources in scenario.epochs]
+        # the half left over before the block's first snapshot; whether one stands now
+        self.head = [state["uinteger"]] if state["has_uint32"] else []
+        self.carried = len(self.head)
+        self.words = []
+        self.noise = np.empty((size, 2 * m))
+        self.r = np.empty((size, m), dtype=complex)
+        self.count = 0
+        self.epoch = 0
+
+    def draw(self, epoch: int, rng: np.random.Generator) -> None:
+        """Draw the symbols and the noise of one snapshot of epoch ``epoch``."""
+        k = self.count
+        if k and epoch != self.epoch:
+            raise ValueError("the snapshots of a block lie in one epoch")
+        q, carried = self.q[epoch], self.carried
+        n = (q - carried + 1) >> 1
+        words = rng.bit_generator.random_raw(n)
+        self.words.append(words)
+        left = carried + 2 * n - q
+        if carried or left:
+            bits = rng.bit_generator
+            state = bits.state
+            state["has_uint32"] = left
+            if left:
+                state["uinteger"] = int(words[-1]) >> 32
+            bits.state = state
+        self.carried = left
+        rng.standard_normal(out=self.noise[k])
+        self.epoch, self.count = epoch, k + 1
+
+    def form(self) -> np.ndarray:
+        """``r`` of every snapshot drawn since the last call, as a view into the block."""
+        count, self.count = self.count, 0
+        mat, amps, neg_amps, _, _ = self.scenario._epoch_tables[self.epoch]
+        m, q = mat.shape
+        # each word splits into two halves, low half first on a little-endian host
+        halves = np.concatenate(
+            [np.array(self.head, np.uint32), np.concatenate(self.words).view(np.uint32)]
+        )
+        self.head = [int(halves[-1])] if self.carried else []
+        self.words.clear()
+        r = self.r[:count]
+        np.multiply(
+            self.noise[:count].reshape(count, 2, m).transpose(0, 2, 1),
+            self.scenario._noise_scale,
+            out=r.view(float).reshape(count, m, 2),
+        )
+        signs = halves[: count * q].reshape(count, q) >= 1 << 31
+        r += np.matvec(mat, np.where(signs, amps, neg_amps))
+        return r
 
 
 def desired_covariance(scenario: Scenario, i: int) -> np.ndarray:

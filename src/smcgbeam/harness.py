@@ -9,16 +9,21 @@ bit-for-bit:
 1. the interferer arrival angles (``build_scenario``: one uniform draw per
    candidate, candidates inside the guard band drawn again);
 2. then, for each snapshot in order, the BPSK symbols of the sources
-   active in its epoch (``integers(0, 2, size=q)``, desired source first),
-   then the noise in one ``standard_normal(2m)`` call, the real parts
-   first. That call draws the same numbers as two ``standard_normal(m)``
-   calls, real then imaginary, so the stream is that of earlier versions.
+   active in its epoch, desired source first, then the noise in one
+   ``standard_normal(2m)`` call, the real parts first. The symbols are
+   exactly ``integers(0, 2, size=q)``, decoded from raw 64-bit words: bit
+   31 of each 32-bit half, low half first, with an odd leftover half
+   carried to the next snapshot. The noise call draws the same numbers as
+   two ``standard_normal(m)`` calls, real then imaginary, so the stream is
+   that of earlier versions.
 
 Nothing else draws from it: the algorithms are deterministic, so every
 entry of the roster sees the identical snapshot stream within a run and
 adding or removing one changes no other entry's trace. The engine draws
-each snapshot with ``generate_snapshot``, in order, into a block of at
-most ``_BLOCK`` snapshots that lies in one epoch. Each entry then runs
+each snapshot with one ``generate_snapshot`` call, in order, into a
+``SnapshotBlock`` of at most ``_BLOCK`` snapshots that lies in one epoch;
+the call makes only the draws, and the block then forms every snapshot
+vector at once, bit for bit as one at a time. Each entry then runs
 through the block: SG and CG one snapshot per step, RLS the whole block in
 one call. The gated (``smcg``) entries run through it together, as the
 rows of one ``SmCgStack``: per snapshot each row's bound is refreshed and
@@ -44,6 +49,7 @@ import numpy as np
 from .arrays import (
     ArrayGeometry,
     Scenario,
+    SnapshotBlock,
     Source,
     desired_covariance,
     generate_snapshot,
@@ -505,13 +511,13 @@ def _single_run(config, scenario, rng, a0, run=0):
     """Advance every roster entry through one run, block by block.
 
     Blocks never straddle an epoch start. Within a block the snapshots are
-    drawn first, one ``generate_snapshot`` call each, then each entry runs
-    through all of them, the gated entries as one stack where the first of
-    them stands in the roster; the SINR and the constraint error are
-    evaluated in one batch for the snapshots where the entry updated or an
-    epoch starts, and carried forward in between. A failed step is reported
-    for the first gated entry that fails in snapshot order, then roster
-    order.
+    drawn first, one ``generate_snapshot`` call each, and formed at once;
+    then each entry runs through all of them, the gated entries as one
+    stack where the first of them stands in the roster. The SINR and the
+    constraint error are evaluated in one batch for the snapshots where the
+    entry updated or an epoch starts, and carried forward in between. A
+    failed step is reported for the first gated entry that fails in
+    snapshot order, then roster order.
 
     Raises :class:`RunDivergedError` where finite weights give an
     interference-plus-noise output power ``w^H R_in w`` that rounds to zero
@@ -533,9 +539,9 @@ def _single_run(config, scenario, rng, a0, run=0):
     upd_arr = np.zeros((n_alg, n), dtype=bool)
     cons_err = np.zeros(n_alg)
     current = np.full(n_alg, math.nan)
-    block = np.empty((_BLOCK, scenario.geometry.n_sensors), dtype=complex)
-    w_block = np.empty_like(block)
-    w_gated = np.empty((len(gated),) + block.shape, dtype=complex)
+    snapshots = SnapshotBlock(scenario, _BLOCK, rng)
+    w_block = np.empty((_BLOCK, scenario.geometry.n_sensors), dtype=complex)
+    w_gated = np.empty((len(gated),) + w_block.shape, dtype=complex)
     starts = [start for start, _ in scenario.epochs] + [n + 1]
 
     for start, stop in zip(starts, starts[1:]):
@@ -545,9 +551,9 @@ def _single_run(config, scenario, rng, a0, run=0):
             entry.start_epoch(scenario, start)
         for first in range(start, stop, _BLOCK):
             count = min(_BLOCK, stop - first)
-            rows = block[:count]
-            for k in range(count):
-                rows[k] = generate_snapshot(scenario, first + k, rng)
+            for i in range(first, first + count):
+                generate_snapshot(scenario, i, rng, snapshots)
+            rows = snapshots.form()
             cols = slice(first - 1, first - 1 + count)
             for j, entry in enumerate(entries):
                 b = stack_row.get(j)

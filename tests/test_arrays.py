@@ -1,5 +1,7 @@
 """Array model, scenario bookkeeping and snapshot statistics."""
 
+import copy
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -8,6 +10,7 @@ from reference import generate_snapshot_reference
 from smcgbeam.arrays import (
     ArrayGeometry,
     Scenario,
+    SnapshotBlock,
     Source,
     desired_covariance,
     epoch_index,
@@ -28,6 +31,17 @@ def make_scenario(m=4, n_snapshots=80):
         noise_power=1.0,
         n_snapshots=n_snapshots,
     )
+
+
+def cycling_scenario(qs, n_snapshots, length=7, m=12):
+    """Epochs of ``length`` snapshots whose source counts cycle through ``qs``."""
+    sources = tuple(
+        Source(90.0 if k == 0 else 10.0 + 13.0 * k, 2.3 * (k + 1) ** 1.5) for k in range(m)
+    )
+    starts = range(1, n_snapshots + 1, length)
+    epochs = tuple((start, sources[: qs[e % len(qs)]]) for e, start in enumerate(starts))
+    return Scenario(geometry=ArrayGeometry(m), epochs=epochs, noise_power=0.3,
+                    n_snapshots=n_snapshots)
 
 
 class TestSteeringVector:
@@ -180,6 +194,60 @@ class TestGenerateSnapshot:
                 r = generate_snapshot(sc, i, rng)
                 ref = generate_snapshot_reference(sc, i, ref_rng)
                 assert r.view(float).tobytes() == ref.view(float).tobytes(), (seed, i)
+
+    @pytest.mark.parametrize("bit_generator", ["PCG64", "PCG64DXSM", "Philox", "SFC64"])
+    @pytest.mark.parametrize("qs", [(1, 3, 5, 2), (7,), (10, 11, 12)])
+    def test_raw_bit_symbols_match_integers(self, qs, bit_generator):
+        """Symbols decoded from raw 64-bit words equal ``integers(0, 2, size=q)``.
+
+        Epochs of 7 snapshots cycle the source count through ``qs``, so odd
+        leftover halves carry across snapshots, blocks of 5 and epochs:
+        3000 snapshots on PCG64, the engine's bit generator, and 300 on the
+        others. Drawn one at a time and in blocks, every ``r`` equals the
+        reference's. The generator then holds a leftover half exactly when
+        the reference's does, and its next draws are the reference's.
+        """
+        n_snapshots = 3000 if bit_generator == "PCG64" else 300
+        sc = cycling_scenario(qs, n_snapshots)
+
+        def generator():
+            return np.random.Generator(getattr(np.random, bit_generator)(2024))
+
+        ref_rng = generator()
+        expected = [generate_snapshot_reference(sc, i, ref_rng) for i in range(1, n_snapshots + 1)]
+        one_rng = generator()
+        singles = [generate_snapshot(sc, i, one_rng) for i in range(1, n_snapshots + 1)]
+        block_rng = generator()
+        block = SnapshotBlock(sc, 5, block_rng)
+        starts = [start for start, _ in sc.epochs] + [n_snapshots + 1]
+        blocks = []
+        for start, stop in zip(starts, starts[1:]):
+            for first in range(start, stop, 5):
+                for i in range(first, min(first + 5, stop)):
+                    generate_snapshot(sc, i, block_rng, block)
+                blocks.append(block.form().copy())
+        want = np.array(expected).tobytes()
+        assert np.array(singles).tobytes() == want
+        assert np.concatenate(blocks).tobytes() == want
+        for rng in (one_rng, block_rng):
+            ref = copy.deepcopy(ref_rng)
+            assert rng.bit_generator.state["has_uint32"] == ref.bit_generator.state["has_uint32"]
+            assert rng.integers(0, 2, size=3).tolist() == ref.integers(0, 2, size=3).tolist()
+            assert rng.standard_normal(3).tobytes() == ref.standard_normal(3).tobytes()
+            assert rng.integers(0, 2, size=2).tolist() == ref.integers(0, 2, size=2).tolist()
+
+    def test_block_refuses_a_second_epoch(self):
+        sc = make_scenario()
+        rng = np.random.default_rng(0)
+        block = SnapshotBlock(sc, 4, rng)
+        generate_snapshot(sc, 40, rng, block)
+        with pytest.raises(ValueError, match="one epoch"):
+            generate_snapshot(sc, 41, rng, block)
+
+    def test_generator_without_a_buffered_half_is_named(self):
+        sc = make_scenario()
+        with pytest.raises(ValueError, match="MT19937"):
+            generate_snapshot(sc, 1, np.random.Generator(np.random.MT19937(0)))
 
     def test_epoch_switch_changes_source_count(self):
         sc = make_scenario()

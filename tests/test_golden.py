@@ -1,4 +1,4 @@
-"""Every preset's CSV, and two configurations beyond them, byte for byte.
+"""Every preset's CSV, and three configurations beyond them, byte for byte.
 
 The CSVs are the behavioural oracle of a refactor: a change that keeps the
 numbers keeps these digests. Each preset runs 2 Monte-Carlo runs at its
@@ -82,3 +82,20 @@ def test_stack_edges_csv_matches_its_digest(tmp_path):
     path = tmp_path / "stack_edges.csv"
     emit_csv(run_experiment(STACK_EDGES), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == STACK_EDGES_SHA256
+
+
+# An odd source count: eight sensors, three sources then five from snapshot
+# 300, so the symbols of successive snapshots share 64-bit words and an odd
+# leftover half crosses blocks and the epoch change. The gated filter
+# accepts about 22 % of snapshots.
+ODD_Q = ExperimentConfig(
+    label="m8_odd_q", m=8, epochs=((1, 3), (300, 5)), n_snapshots=700, runs=2,
+    algorithms=(algo("smcg", "smcg", bound="pidb"), algo("rls", "rls"), algo("mvdr", "mvdr")),
+)
+ODD_Q_SHA256 = "de4f532c3f20826bd9f9da171499251cf2bbc70d6799ed593442b8b89d488c22"
+
+
+def test_odd_q_csv_matches_its_digest(tmp_path):
+    path = tmp_path / "odd_q.csv"
+    emit_csv(run_experiment(ODD_Q), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == ODD_Q_SHA256

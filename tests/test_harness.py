@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import numpy.testing as npt
 import pytest
+from reference import generate_snapshot_reference
 
 from smcgbeam import harness
 from smcgbeam.arrays import (
@@ -350,9 +351,10 @@ class TestRunExperiment:
         cfg = tiny_config(n_snapshots=600, runs=1, algorithms=(algo("rls", "rls"),))
         draw = harness.generate_snapshot
 
-        def poisoned(scenario, i, rng):
-            r = draw(scenario, i, rng)
-            return np.full_like(r, np.nan) if i == 257 + 37 else r
+        def poisoned(scenario, i, rng, block):
+            draw(scenario, i, rng, block)
+            if i == 257 + 37:
+                block.noise[block.count - 1] = np.nan
 
         monkeypatch.setattr(harness, "generate_snapshot", poisoned)
         with pytest.raises(RunDivergedError) as err:
@@ -478,6 +480,20 @@ class TestRunExperiment:
         result = run_experiment(cfg)
         assert all(err <= 1e-12 for err in result.max_constraint_error.values())
 
+    @staticmethod
+    def _engine_blocks(cfg, monkeypatch):
+        """The first snapshot and the rows of every block the engine forms."""
+        seen = []
+        run_block = harness._MvdrEntry.run
+
+        def record(self, block, first, *rest):
+            seen.append((first, block.copy()))
+            run_block(self, block, first, *rest)
+
+        monkeypatch.setattr(harness._MvdrEntry, "run", record)
+        run_experiment(cfg)
+        return [first for first, _ in seen], np.concatenate([rows for _, rows in seen])
+
     def test_snapshot_stream_contract(self, monkeypatch):
         """The engine draws exactly what successive generate_snapshot calls draw.
 
@@ -490,23 +506,58 @@ class TestRunExperiment:
             algorithms=(algo("smcg", "smcg"), algo("rls", "rls"), algo("mvdr", "mvdr")),
         )
         assert cfg.n_snapshots % harness._BLOCK != 0
-        seen = []
-        run_block = harness._MvdrEntry.run
-
-        def record(self, block, first, *rest):
-            seen.append((first, block.copy()))
-            run_block(self, block, first, *rest)
-
-        monkeypatch.setattr(harness._MvdrEntry, "run", record)
-        run_experiment(cfg)
+        firsts, got = self._engine_blocks(cfg, monkeypatch)
         rng = np.random.default_rng(cfg.master_seed)
         scenario = build_scenario(cfg, rng)
         expected = np.array(
             [generate_snapshot(scenario, i, rng) for i in range(1, cfg.n_snapshots + 1)]
         )
-        assert [first for first, _ in seen] == [1, 257, 300, 556]
-        got = np.concatenate([rows for _, rows in seen])
+        assert firsts == [1, 257, 300, 556]
         assert got.tobytes() == expected.tobytes()
+
+    def test_odd_half_carries_across_blocks_and_epochs(self, monkeypatch):
+        """An odd leftover 32-bit half crosses block and epoch boundaries.
+
+        299 x 3 halves precede the epoch change at 300, which is also a
+        block's start, and 299 x 3 + 256 x 5 precede the block at 556: both
+        odd, so the first symbol of each block is the previous block's
+        leftover half. The engine's blocks equal successive draws of the
+        reference, which draws its symbols with ``integers``.
+        """
+        cfg = tiny_config(
+            m=8, epochs=((1, 3), (300, 5)), n_snapshots=600, runs=1,
+            algorithms=(algo("rls", "rls"), algo("mvdr", "mvdr")),
+        )
+        firsts, got = self._engine_blocks(cfg, monkeypatch)
+        rng = np.random.default_rng(cfg.master_seed)
+        scenario = build_scenario(cfg, rng)
+        expected = np.array(
+            [generate_snapshot_reference(scenario, i, rng) for i in range(1, cfg.n_snapshots + 1)]
+        )
+        assert firsts == [1, 257, 300, 556]
+        assert got.tobytes() == expected.tobytes()
+
+    def test_one_generate_snapshot_call_per_snapshot(self, monkeypatch):
+        """Tracing by name counts one ``generate_snapshot`` call per snapshot
+        and run, through a pass-through wrapper that changes no result."""
+        cfg = tiny_config(epochs=((1, 3), (40, 4)), n_snapshots=300, runs=3)
+        plain = run_experiment(cfg)
+        calls = []
+        draw = harness.generate_snapshot
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "generate_snapshot", counted)
+        wrapped = run_experiment(cfg)
+        assert calls == list(range(1, cfg.n_snapshots + 1)) * cfg.runs
+        for name in ("mean_sinr_db", "mean_delta", "update_rate_cum"):
+            for label in plain.algorithms:
+                got, want = getattr(wrapped, name)[label], getattr(plain, name)[label]
+                assert got.tobytes() == want.tobytes(), (name, label)
+        assert wrapped.mean_update_rate == plain.mean_update_rate
+        assert wrapped.max_constraint_error == plain.max_constraint_error
 
     def test_validates_before_running(self):
         with pytest.raises(ConfigError):
