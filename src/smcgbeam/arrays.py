@@ -173,12 +173,15 @@ def generate_snapshot(
     active at ``i``, desired source first, then the noise, real parts
     first. The symbols are exactly ``rng.integers(0, 2, size=q)``: bit 31
     of successive 32-bit halves of ``rng.bit_generator.random_raw``, low
-    half first, so an odd leftover half carries to the next snapshot in
-    the generator's buffer, as it does for ``integers``. The noise is
-    ``rng.standard_normal(2 * m)``, the same numbers as two
-    ``standard_normal(m)`` calls. The bit generator must buffer a 32-bit
-    half (``has_uint32`` in its state, as PCG64, PCG64DXSM, Philox and
-    SFC64 do); for any other, such as MT19937, a ``ValueError`` names it.
+    half first, so an odd leftover half carries to the next snapshot, as
+    it does for ``integers``. Each ``block.form()`` hands that half back
+    to the generator's buffer: after it, the generator stands where
+    ``integers`` leaves it, and until it, only the block may draw 32-bit
+    halves from ``rng``. The noise is ``rng.standard_normal(2 * m)``, the
+    same numbers as two ``standard_normal(m)`` calls. The bit generator
+    must buffer a 32-bit half (``has_uint32`` in its state, as PCG64,
+    PCG64DXSM, Philox and SFC64 do); for any other, such as MT19937, a
+    ``ValueError`` names it.
 
     Every part rounds as in ``A @ (amps * symbols) + scale * (re + 1j * im)``:
     a symbol of +-1 only picks the sign of its amplitude, the noise parts
@@ -198,9 +201,9 @@ class SnapshotBlock:
     ``draw`` makes one snapshot's draws, in the order ``generate_snapshot``
     documents; ``form`` forms ``r`` for every snapshot drawn since the last
     ``form``. The generator's buffered half is read once, here, and handed
-    back whenever a draw changes it, so after each draw the generator
-    stands where ``integers`` would leave it. Between draws only this
-    block may draw 32-bit halves from ``rng``.
+    back by each ``form`` that changes it, so after each ``form`` the
+    generator stands where ``integers`` would leave it. Until then only
+    this block may draw 32-bit halves from ``rng``.
     """
 
     def __init__(self, scenario: Scenario, size: int, rng: np.random.Generator) -> None:
@@ -212,6 +215,7 @@ class SnapshotBlock:
             )
         m = scenario.geometry.n_sensors
         self.scenario = scenario
+        self.bits = rng.bit_generator
         self.q = [len(sources) for _, sources in scenario.epochs]
         # the half left over before the block's first snapshot; whether one stands now
         self.head = [state["uinteger"]] if state["has_uint32"] else []
@@ -229,17 +233,8 @@ class SnapshotBlock:
             raise ValueError("the snapshots of a block lie in one epoch")
         q, carried = self.q[epoch], self.carried
         n = (q - carried + 1) >> 1
-        words = rng.bit_generator.random_raw(n)
-        self.words.append(words)
-        left = carried + 2 * n - q
-        if carried or left:
-            bits = rng.bit_generator
-            state = bits.state
-            state["has_uint32"] = left
-            if left:
-                state["uinteger"] = int(words[-1]) >> 32
-            bits.state = state
-        self.carried = left
+        self.words.append(self.bits.random_raw(n))
+        self.carried = carried + 2 * n - q
         rng.standard_normal(out=self.noise[k])
         self.epoch, self.count = epoch, k + 1
 
@@ -252,6 +247,12 @@ class SnapshotBlock:
         halves = np.concatenate(
             [np.array(self.head, np.uint32), np.concatenate(self.words).view(np.uint32)]
         )
+        if self.head or self.carried:  # hand the leftover half back
+            state = self.bits.state
+            state["has_uint32"] = self.carried
+            if self.carried:
+                state["uinteger"] = int(halves[-1])
+            self.bits.state = state
         self.head = [int(halves[-1])] if self.carried else []
         self.words.clear()
         r = self.r[:count]

@@ -26,9 +26,9 @@ the call makes only the draws, and the block then forms every snapshot
 vector at once, bit for bit as one at a time. Each entry then runs
 through the block: SG and CG one snapshot per step, RLS the whole block in
 one call. The gated (``smcg``) entries run through it together, as the
-rows of one ``SmCgStack``: per snapshot each row's bound is refreshed and
-its gate tested, and the rows that accept are committed with one set of
-NumPy calls, bit for bit as each would be alone.
+rows of one ``SmCgStack``, a lone one as a stack of one: per snapshot each
+row's bound is refreshed and its gate tested, and the rows that accept are
+committed with one set of NumPy calls, bit for bit as each would be alone.
 
 Per-snapshot SINR is evaluated against the analytic epoch covariances and
 averaged across runs in the linear domain; update rates are averaged as
@@ -364,12 +364,10 @@ class _GatedStack:
     ``s`` snapshots that no row accepted, for the next ``4^s`` (up to the
     end of the block). A gate that alternates then forms few outputs it
     does not read, and a closed gate forms the rest of the block after its
-    fifth rejection. A ``ValueError`` out of a step becomes
-    :class:`_StepDiverged` naming the row.
-
-    A stack of one commits inside ``step``, so its loop leaves out the
-    per-row bookkeeping, which took about a tenth of that loop's time on
-    fig6's and fig9's single gated entry.
+    fifth rejection. A ``ValueError`` out of a step, or an
+    ``OverflowError`` out of a bound refresh or a gate, becomes
+    :class:`_StepDiverged` naming the row. A stack of one commits inside
+    ``step``, so its ``commit`` returns at once.
     """
 
     def __init__(self, entries, a0: np.ndarray, noise_power: float) -> None:
@@ -389,28 +387,6 @@ class _GatedStack:
         updated_flags, deltas = [], []
         flag, bound = updated_flags.append, deltas.append
         streak, ahead, start = self.streak, 0, 0  # outputs of block[start:ahead] formed
-        if len(rows) == 1:  # one gated entry: the loop without the stack's bookkeeping
-            ((_, state, policy, update),) = rows
-            for k, r in enumerate(block):
-                if k >= ahead:
-                    start, ahead = k, k + min(4 ** min(streak, 4), count - k)
-                    outputs = np.vecdot(state.w, block[start:ahead]).tolist()
-                y = outputs[k - start]
-                update(y0s[k], y, state.w, noise_power)
-                delta = policy.delta
-                try:
-                    updated = state.step(r, delta, y).updated
-                except ValueError as exc:
-                    raise _StepDiverged(str(exc), first + k, 0) from exc
-                flag(updated)
-                bound(delta)
-                if updated:
-                    w_out[0, k] = state.w
-                    streak, ahead = 0, k + 1
-                else:
-                    streak += 1
-            self.streak = streak
-            return np.array([updated_flags]), np.array([deltas])
         for k, r in enumerate(block):
             if k >= ahead:
                 start, ahead = k, k + min(4 ** min(streak, 4), count - k)
@@ -420,12 +396,15 @@ class _GatedStack:
             accepted = False
             for b, state, policy, update in rows:
                 y = ys[b]
-                update(y0, y, state.w, noise_power)
-                delta = policy.delta
                 try:
+                    update(y0, y, state.w, noise_power)
+                    delta = policy.delta
                     updated = state.step(r, delta, y).updated
                 except ValueError as exc:
                     raise _StepDiverged(str(exc), first + k, b) from exc
+                except OverflowError as exc:  # a float power in the bound or the gate
+                    what = "bound or output beyond float range"
+                    raise _StepDiverged(what, first + k, b) from exc
                 flag(updated)
                 bound(delta)
                 if updated:

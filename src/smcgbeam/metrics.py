@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-SINR_FLOOR_DB = -200.0
-_SINR_FLOOR_LINEAR = 1e-20
+_SINR_FLOOR_LINEAR = 1e-20  # -200 dB
 
 
 def sinr_linear(

@@ -168,6 +168,7 @@ def _row_field(name: str) -> property:
 
     def set_(self, value):
         getattr(self, attr)[...] = value
+        self._stack._snapshot = None  # the products formed before are stale
 
     return property(get, set_, doc=f"``{name}``, this filter's row of its stack.")
 
@@ -247,7 +248,6 @@ class SmCgState:
         self.w = self.gamma * steering / norm_sq
         self.update_count = 0
         self.updated = False
-        self._forms = None  # the update's inner products while it solves for lambda1
         SmCgStack([self])
 
     def _join(self, stack: SmCgStack, row: int) -> None:
@@ -261,12 +261,12 @@ class SmCgState:
         The root is solved for ``delta / |gamma|``: the gate compares
         ``|w^H r| = |gamma| |v^H r| / |v^H a0|`` with ``delta``, and the root
         puts ``|v^H r| / |v^H a0|`` on its bound. A clamp of zero width pins
-        the factor, so no root is solved. Inside :meth:`step` the inner
-        products the stack has formed for the snapshot are reused.
+        the factor, so no root is solved. The inner products are those the
+        stack forms once per snapshot (:meth:`SmCgStack.forms`).
         """
         if self.lambda1_min == self.lambda1_max:
             return self.lambda1_max
-        p_r_p, vr, gp, pr, va, pa = self._forms or self._stack.products(r)[self._row]
+        p_r_p, vr, gp, pr, va, pa = self._stack.forms(r)[self._row]
         lam = lambda1_root(p_r_p, vr, va, gp, pr, pa, delta / abs(self.gamma), self.eta)
         return min(max(lam, self.lambda1_min), self.lambda1_max)
 
@@ -314,14 +314,11 @@ class SmCgState:
             return self
 
         stack = self._stack
-        self._forms = forms = stack.forms(r)[self._row]
         try:
             lam = self.compute_lambda1(r, delta)
         except DegenerateLambdaError:
             lam = self.lambda1_max
-        finally:
-            self._forms = None
-        p_r_p, vr, gp, pr, _, _ = forms
+        p_r_p, vr, gp, pr, _, _ = stack.forms(r)[self._row]
         rv = vr.conjugate()
         alpha = self.compute_alpha(lam, p_r_p, pr, gp.real, rv)
         self.update_count += 1
@@ -338,8 +335,8 @@ class SmCgStack:
     forms the inner products of every row at once (:meth:`forms`), each
     accepting row solves its own lambda1 and alpha in Python numbers, and
     :meth:`commit` then applies every staged update with one set of NumPy
-    calls. A stack of one commits as its row stages, so a lone state needs
-    no :meth:`commit`.
+    calls. A stack of one commits as its row stages, so its :meth:`commit`
+    returns at once.
 
     The stacked forms round as the per-filter ones: a stacked ``matvec``
     and ``vecdot`` equal ``R @ p`` and ``vdot`` row by row, a ``(B, 1)``
@@ -416,58 +413,50 @@ class SmCgStack:
         one commits the update at once.
         """
         if self._single:
-            self._apply(row, None, lam, alpha, lam * rv)
+            self._apply(None, lam, alpha, lam * rv)
         else:
             self._staged.append((row, lam, alpha, rv))
 
     def commit(self) -> None:
         """Apply every update staged at the current snapshot.
 
-        One row is updated on its own views and Python scalars. Several are
-        updated in place when they are all the rows or a contiguous span of
-        them, else gathered and written back.
+        A contiguous span of rows, all of them included, is updated in place
+        through a slice; any other set of rows is gathered and written back.
+        A stack of one has committed already.
         """
         if not self._staged:
             return
         staged, self._staged = sorted(self._staged, key=lambda s: s[0]), []
         rows, lams, alphas, rvs = (list(col) for col in zip(*staged))
-        lam_rv = [lam * rv for lam, rv in zip(lams, rvs)]
-        lo, hi = rows[0], rows[-1] + 1
-        if hi - lo < len(rows):
+        if rows[-1] + 1 - rows[0] < len(rows):
             raise ValueError("a row was staged twice at one snapshot")
-        if len(rows) == 1:
-            self._apply(lo, None, lams[0], alphas[0], lam_rv[0])
-            return
-        if len(rows) == len(self._states):
-            sel = None
-        else:
-            sel = slice(lo, hi) if hi - lo == len(rows) else rows
         self._apply(
-            sel, rows, np.array(lams, dtype=complex)[:, None, None],
-            np.array(alphas, dtype=complex)[:, None], np.array(lam_rv)[:, None],
+            rows, np.array(lams, dtype=complex)[:, None, None],
+            np.array(alphas, dtype=complex)[:, None],
+            np.array([lam * rv for lam, rv in zip(lams, rvs)])[:, None],
         )
 
-    def _apply(self, sel, rows, lam, alpha, lam_rv) -> None:
-        """The recursion of one update, on the rows ``sel`` selects.
+    def _apply(self, rows, lam, alpha, lam_rv) -> None:
+        """The recursion of one update, on the rows listed in order in ``rows``.
 
-        One row (``rows`` is ``None``, ``sel`` its index) is updated on its
-        own views, with ``vdot`` and Python scalars, as a lone filter is.
-        Several rows are a slice, a list, or ``None`` for all of them, with
-        ``rows`` listing them in order; ``lam``, ``alpha`` and ``lam_rv``
-        (lambda1 times ``r^H v``) are then columns with one entry per row.
-        Every operation keeps the operand order of the single-filter
-        recursion.
+        ``lam``, ``alpha`` and ``lam_rv`` (lambda1 times ``r^H v``) are
+        columns with one entry per row. A stack of one (``rows`` is
+        ``None``) is updated on its row's views, with ``vdot`` and Python
+        scalars, as a lone filter is. Every operation keeps the operand
+        order of the single-filter recursion.
         """
         r = self._snapshot
         self._snapshot = self._forms = None
         single = rows is None
         if single:
-            state = self._states[sel]()
+            state = self._states[0]()
             r_hat, v, g, p = state._r_hat, state._v, state._g, state._p
             a0, gamma, dot = state.steering, state.gamma, np.vdot
         else:
+            lo, hi = rows[0], rows[-1] + 1
+            sel = slice(lo, hi) if hi - lo == len(rows) else rows
             fields = (self.r_hat, self.v, self.g, self.p, self.steering, self.gamma)
-            r_hat, v, g, p, a0, gamma = fields if sel is None else [x[sel] for x in fields]
+            r_hat, v, g, p, a0, gamma = [x[sel] for x in fields]
             dot = np.vecdot
         r_hat += lam * (r[:, None] * r.conj())
         rp = np.matvec(r_hat, p)
@@ -484,11 +473,7 @@ class SmCgStack:
         if single:
             if av != 0.0:
                 state.w = gamma * v / av
-                if self._single:
-                    self.w = state.w[None]
-                else:
-                    self.w = self.w.copy()
-                    self.w[sel] = state.w
+                self.w = state.w[None]
             return
         if isinstance(sel, list):  # gathered rows are copies
             self.r_hat[sel], self.v[sel], self.g[sel], self.p[sel] = r_hat, v, g, p

@@ -158,6 +158,30 @@ class TestRun:
         assert "'sg'" in err
 
 
+    @pytest.mark.parametrize(
+        "name, overrides",
+        [
+            ("fig6", ["scenario.inr_db=3080"]),
+            ("fig9", ["scenario.inr_db=3070", "scenario.epochs=1:8,200:12"]),
+        ],
+        ids=["fig6", "fig9"],
+    )
+    def test_overflowing_bound_exits_1_with_context(self, tmp_path, capsys, name, overrides):
+        argv = ["run", "--preset", name, "--runs", "1", "--out", str(tmp_path),
+                "--set", "scenario.n_snapshots=300"]
+        for override in overrides:
+            argv += ["--set", override]
+        with np.errstate(all="ignore"):
+            rc = main(argv)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert (
+            "error: run 0: bound or output beyond float range for algorithm 'smcg' "
+            "at snapshot 1"
+        ) in err
+        assert "Traceback" not in err
+        assert not (tmp_path / f"{name}.csv").exists()
+
 class TestComplexity:
     HEADER = [
         "m", "algorithm", "update_fraction", "projection_order",

@@ -420,6 +420,36 @@ class TestRunExperiment:
             "for algorithm 'b' at snapshot 280"
         )
 
+    @pytest.mark.parametrize(
+        "name, changes",
+        [
+            ("fig6", dict(inr_db=3080.0)),
+            ("fig9", dict(inr_db=3070.0, epochs=((1, 8), (200, 12)))),
+        ],
+        ids=["fig6", "fig9"],
+    )
+    def test_overflowing_bound_reported_with_context(self, name, changes):
+        """PIDB's ``|y0 - y|^2`` beyond float range ends the run with the
+        run, the entry and the snapshot named, not an ``OverflowError``."""
+        (cfg,) = preset(name, runs=1)
+        cfg = replace(cfg, n_snapshots=300, **changes)
+        with np.errstate(all="ignore"), pytest.raises(RunDivergedError) as err:
+            run_experiment(cfg)
+        assert str(err.value) == (
+            "run 0: bound or output beyond float range for algorithm 'smcg' at snapshot 1"
+        )
+        assert isinstance(err.value.__cause__.__cause__, OverflowError)
+
+    def test_overflowing_gate_reported_with_context(self):
+        """A fixed bound whose square leaves float range fails at the gate."""
+        cfg = tiny_config(runs=1, algorithms=(algo("wide", "smcg", bound="fixed", delta=1e200),))
+        with pytest.raises(RunDivergedError) as err:
+            run_experiment(cfg)
+        assert str(err.value) == (
+            "run 0: bound or output beyond float range for algorithm 'wide' at snapshot 1"
+        )
+        assert isinstance(err.value.__cause__.__cause__, OverflowError)
+
     def test_alternating_gate_forms_few_outputs(self, monkeypatch):
         """fig5's PDB entry accepts about 84 % of snapshots, in short streaks.
         Its outputs ``w^H r`` are formed for at most twice the snapshots."""
@@ -427,20 +457,14 @@ class TestRunExperiment:
         cfg = replace(fig5, algorithms=tuple(
             spec for spec in fig5.algorithms if spec.label in ("smcg_pdb", "mvdr")
         ))
-        steering, vecdot = harness.steering_vector, np.vecdot
-        a0s, formed = [], []
-
-        def recording_steering(*args):
-            a0s.append(steering(*args))
-            return a0s[-1]
+        vecdot, formed = np.vecdot, []
 
         def counting_vecdot(x1, x2, **kwargs):
             out = vecdot(x1, x2, **kwargs)
-            if x1.ndim == 1 and x1 is not a0s[-1]:  # the weights, not a0 nor a stack's rows
-                formed.append(out.size)
+            if np.ndim(x2) == 3:  # the stack's outputs over block[start:ahead, None]
+                formed.append(len(out))
             return out
 
-        monkeypatch.setattr(harness, "steering_vector", recording_steering)
         monkeypatch.setattr(harness.np, "vecdot", counting_vecdot)
         result = run_experiment(cfg)
         assert 0.7 < result.mean_update_rate["smcg_pdb"] < 0.95

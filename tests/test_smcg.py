@@ -248,6 +248,32 @@ def test_update_matches_numpy_scalar_reference(monkeypatch, kind, gamma, m):
     assert updates >= 5
 
 
+@pytest.mark.parametrize("rows", [1, 2], ids=["alone", "stacked"])
+def test_lambda1_reads_reassigned_fields(rows):
+    """Assigning ``p``, then ``r_hat``, between two ``compute_lambda1`` calls
+    at the same snapshot: each call solves for the state as it stands, not
+    from the products the stack formed before."""
+    sc, rng = small_scenario()
+    a0 = steering_vector(sc.geometry, 90.0)
+    states = [SmCgState(a0) for _ in range(rows)]
+    stack = SmCgStack(states)
+    for i in range(1, 58):
+        r = generate_snapshot(sc, i, rng)
+        for state in states:
+            step(state, r, 3.0)
+        stack.commit()
+    r, delta = generate_snapshot(sc, 58, rng), 3.0
+    seen = [state.compute_lambda1(r, delta)]
+    assert seen[-1] == lambda1_reference(state, r, delta)
+    state.p = state.g  # restart the direction
+    seen.append(state.compute_lambda1(r, delta))
+    assert seen[-1] == lambda1_reference(state, r, delta)
+    state.r_hat = 2.0 * state.r_hat
+    seen.append(state.compute_lambda1(r, delta))
+    assert seen[-1] == lambda1_reference(state, r, delta)
+    assert seen[0] != seen[1] != seen[2]
+
+
 def test_update_calls_seen_by_a_tracer(monkeypatch):
     """Over gated runs, each update calls ``compute_lambda1(r, delta)`` and
     ``compute_alpha`` once, and each solve reaches the module's
