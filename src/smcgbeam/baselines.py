@@ -49,6 +49,8 @@ class FrostSg:
     levels.
     """
 
+    updated = True  # no gate: every step updates
+
     def __init__(
         self,
         steering: np.ndarray,
@@ -163,9 +165,9 @@ class ConstrainedRls:
 class ConstrainedCg:
     """Conjugate-gradient beamformer with the gate forced open.
 
-    Runs the set-membership machinery with a zero bound (every snapshot is
-    accepted) and the forgetting factor clamped to a single constant, so
-    the two implementations cannot drift apart.
+    Runs the set-membership machinery with a zero bound (every snapshot
+    whose output is nonzero is accepted) and the forgetting factor clamped
+    to a single constant, so the two implementations cannot drift apart.
     """
 
     def __init__(
@@ -178,7 +180,7 @@ class ConstrainedCg:
     ) -> None:
         if not 0.0 < forgetting <= 1.0:
             raise ValueError("forgetting must lie in (0, 1]")
-        self._state = SmCgState(
+        self.state = SmCgState(
             steering,
             gamma=gamma,
             eta=eta,
@@ -189,13 +191,13 @@ class ConstrainedCg:
 
     @property
     def w(self) -> np.ndarray:
-        return self._state.w
+        return self.state.w
 
     @property
-    def state(self) -> SmCgState:
-        return self._state
+    def updated(self) -> bool:
+        return self.state.updated
 
     def step(self, r: np.ndarray) -> complex:
-        y = np.vdot(self._state.w, r)
-        self._state.step(r, 0.0, y)
+        y = np.vdot(self.state.w, r)
+        self.state.step(r, 0.0, y)
         return y

@@ -90,12 +90,8 @@ _SMCG_PARAMETERS = {
     bound: {"bound": _DEFAULT_BOUND, **_STATE_KEYWORDS, **_keywords(cls)}
     for bound, cls in _BOUNDS.items()
 }
-_KIND_PARAMETERS = {
-    "sg": _keywords(FrostSg),
-    "rls": _keywords(ConstrainedRls),
-    "cg": _keywords(ConstrainedCg),
-    "mvdr": {},
-}
+_FILTERS = {"sg": FrostSg, "rls": ConstrainedRls, "cg": ConstrainedCg}
+_KIND_PARAMETERS = {**{kind: _keywords(cls) for kind, cls in _FILTERS.items()}, "mvdr": {}}
 
 # Accepted-snapshot fractions costed in the complexity table: the selective
 # algorithms at their observed rates, the data-selective CG at its reported
@@ -172,8 +168,9 @@ class ExperimentConfig:
             raise ConfigError("gamma must be non-zero")
         if not self.noise_power > 0.0:
             raise ConfigError("noise_power must be positive")
+        powers = {}
         for name in ("snr_db", "inr_db"):
-            power = _source_power(self.noise_power, getattr(self, name))
+            power = powers[name] = _source_power(self.noise_power, getattr(self, name))
             if not 0.0 < power < math.inf:
                 raise ConfigError(
                     f"{name} gives the source power noise_power * 10^({name}/10) = "
@@ -209,6 +206,13 @@ class ExperimentConfig:
                 raise ConfigError(f"epochs entry at {start} needs at least one source")
             if q > self.m:
                 raise ConfigError(f"epochs entry at {start} has more sources than sensors")
+        q_max = max(q for _, q in self.epochs)
+        total = powers["snr_db"] + (q_max - 1) * powers["inr_db"] + self.noise_power
+        if not math.isfinite(total):
+            raise ConfigError(
+                f"snr_db and inr_db give the {q_max} sources of the largest epoch the total "
+                f"received power {total!r}, not a finite float"
+            )
         if not self.algorithms:
             raise ConfigError("algorithms must not be empty")
         labels = [spec.label for spec in self.algorithms]
@@ -251,8 +255,12 @@ def _validate_params(spec: AlgoSpec, m: int, gamma: float, noise_power: float) -
         if default is _REQUIRED and spec.get(key) is None:
             raise ConfigError(f"{where} {owner} needs {key}")
     # the constructors check the ranges; any valid steering vector will do
+    a0 = np.ones(m, dtype=complex)
     try:
-        _ENTRIES[spec.kind](spec, np.ones(m, dtype=complex), gamma, noise_power)
+        if spec.kind == "smcg":
+            _gated_filter(spec, a0, gamma, noise_power)
+        else:
+            _entry(spec, a0, gamma)
     except ValueError as exc:
         raise ConfigError(f"{where}.{exc}") from exc
 
@@ -325,30 +333,40 @@ class _StepDiverged(Exception):
 class _Entry:
     """One roster entry of a run: its filter and the loop that advances it.
 
-    ``run`` advances the filter through one block of snapshots, all in one
-    epoch, and writes per snapshot whether it updated and its bound into the
-    given rows. It writes the post-step weights on row 0 and on every row
-    where it updated; the engine reads no other rows of ``w_out``. A
-    ``ValueError`` out of a step becomes :class:`_StepDiverged`. The gated
-    entries are advanced together by :class:`_GatedStack` instead.
+    ``run`` steps the filter once per snapshot of a block, all in one epoch,
+    and writes its ``updated`` and ``w`` after each step into the given rows;
+    a ``ValueError`` out of a step becomes :class:`_StepDiverged`. RLS steps
+    the block in one call and MVDR keeps one weight vector per epoch; they
+    write the weights on row 0 and on every row where they updated, and the
+    engine reads no other rows of ``w_out``. The gated entries are advanced
+    together by :class:`_GatedStack` instead.
     """
+
+    def __init__(self, algo) -> None:
+        self.algo = algo
 
     def start_epoch(self, scenario: Scenario, i: int) -> None:
         pass
 
+    def run(self, block, first, upd, w_out) -> None:
+        algo = self.algo
+        for k, r in enumerate(block):
+            try:
+                algo.step(r)
+            except ValueError as exc:
+                raise _StepDiverged(str(exc), first + k) from exc
+            upd[k] = algo.updated
+            w_out[k] = algo.w
 
-class _SmCgEntry(_Entry):
-    """A gated entry's state and bound policy; :class:`_GatedStack` runs it."""
 
-    def __init__(self, spec: AlgoSpec, a0: np.ndarray, gamma: float, noise_power: float) -> None:
-        params = dict(spec.params)
-        policy = _BOUNDS[params.pop("bound", _DEFAULT_BOUND)]
-        state_params = {k: params.pop(k) for k in _STATE_KEYWORDS if k in params}
-        self.state = SmCgState(a0, gamma=gamma, **state_params)
-        if policy is FixedBound:
-            self.policy = FixedBound(**params)
-        else:
-            self.policy = policy(self.state.w, noise_power, **params)
+def _gated_filter(spec: AlgoSpec, a0: np.ndarray, gamma: float, noise_power: float):
+    """The ``(state, policy)`` of a gated entry, as the engine runs it."""
+    params = dict(spec.params)
+    policy = _BOUNDS[params.pop("bound", _DEFAULT_BOUND)]
+    state_params = {k: params.pop(k) for k in _STATE_KEYWORDS if k in params}
+    state = SmCgState(a0, gamma=gamma, **state_params)
+    adaptive = () if policy is FixedBound else (state.w, noise_power)
+    return state, policy(*adaptive, **params)
 
 
 class _GatedStack:
@@ -370,17 +388,15 @@ class _GatedStack:
     ``step``, so its ``commit`` returns at once.
     """
 
-    def __init__(self, entries, a0: np.ndarray, noise_power: float) -> None:
-        self.stack = SmCgStack([entry.state for entry in entries])
-        self.rows = [
-            (b, entry.state, entry.policy, entry.policy.update) for b, entry in enumerate(entries)
-        ]
+    def __init__(self, specs, a0: np.ndarray, gamma: float, noise_power: float) -> None:
+        filters = [_gated_filter(spec, a0, gamma, noise_power) for spec in specs]
+        self.stack = SmCgStack([state for state, _ in filters])
+        self.rows = [(b, state, policy, policy.update) for b, (state, policy) in enumerate(filters)]
         self.a0 = a0
-        self.noise_power = noise_power
         self.streak = 0  # snapshots since any row last updated
 
     def run(self, block, first, w_out) -> tuple[np.ndarray, np.ndarray]:
-        stack, rows, noise_power = self.stack, self.rows, self.noise_power
+        stack, rows = self.stack, self.rows
         count = len(block)
         y0s = np.vecdot(self.a0, block).tolist()
         w_out[:, 0] = stack.w  # row 0's post-step weights unless it updates
@@ -397,7 +413,7 @@ class _GatedStack:
             for b, state, policy, update in rows:
                 y = ys[b]
                 try:
-                    update(y0, y, state.w, noise_power)
+                    update(y0, y, state.w)
                     delta = policy.delta
                     updated = state.step(r, delta, y).updated
                 except ValueError as exc:
@@ -420,23 +436,8 @@ class _GatedStack:
         return np.reshape(updated_flags, shape).T, np.reshape(deltas, shape).T
 
 
-class _SgEntry(_Entry):
-    def __init__(self, spec: AlgoSpec, a0: np.ndarray, gamma: float, noise_power: float) -> None:
-        self.algo = FrostSg(a0, gamma=gamma, **dict(spec.params))
-
-    def run(self, block, first, upd, dlt, w_out) -> None:
-        algo = self.algo
-        upd[:] = True
-        for k, r in enumerate(block):
-            algo.step(r)
-            w_out[k] = algo.w
-
-
 class _RlsEntry(_Entry):
-    def __init__(self, spec: AlgoSpec, a0: np.ndarray, gamma: float, noise_power: float) -> None:
-        self.algo = ConstrainedRls(a0, gamma=gamma, **dict(spec.params))
-
-    def run(self, block, first, upd, dlt, w_out) -> None:
+    def run(self, block, first, upd, w_out) -> None:
         upd[:] = True
         try:
             w_out[: len(block)] = self.algo.step(block)
@@ -444,40 +445,25 @@ class _RlsEntry(_Entry):
             raise _StepDiverged("non-finite inverse covariance", first + exc.row) from exc
 
 
-class _CgEntry(_Entry):
-    def __init__(self, spec: AlgoSpec, a0: np.ndarray, gamma: float, noise_power: float) -> None:
-        self.algo = ConstrainedCg(a0, gamma=gamma, **dict(spec.params))
-
-    def run(self, block, first, upd, dlt, w_out) -> None:
-        algo = self.algo
-        for k, r in enumerate(block):
-            try:
-                algo.step(r)
-            except ValueError as exc:
-                raise _StepDiverged(str(exc), first + k) from exc
-            upd[k] = algo.state.updated
-            w_out[k] = algo.w
-
-
 class _MvdrEntry(_Entry):
-    def __init__(self, spec: AlgoSpec, a0: np.ndarray, gamma: float, noise_power: float) -> None:
+    def __init__(self, a0: np.ndarray, gamma: float) -> None:
         self.a0 = a0
         self.gamma = gamma
 
     def start_epoch(self, scenario: Scenario, i: int) -> None:
         self.w = mvdr_weights(total_covariance(scenario, i), self.a0, self.gamma)
 
-    def run(self, block, first, upd, dlt, w_out) -> None:
+    def run(self, block, first, upd, w_out) -> None:
         w_out[0] = self.w
 
 
-_ENTRIES = {
-    "smcg": _SmCgEntry,
-    "sg": _SgEntry,
-    "rls": _RlsEntry,
-    "cg": _CgEntry,
-    "mvdr": _MvdrEntry,
-}
+def _entry(spec: AlgoSpec, a0: np.ndarray, gamma: float) -> _Entry:
+    """The roster entry of a spec of any kind but ``smcg``."""
+    if spec.kind == "mvdr":
+        return _MvdrEntry(a0, gamma)
+    algo = _FILTERS[spec.kind](a0, gamma=gamma, **dict(spec.params))
+    return _RlsEntry(algo) if spec.kind == "rls" else _Entry(algo)
+
 
 _COMPLEXITY_KIND = {"smcg": "sm-cg", "sg": "sg", "rls": "rls", "cg": "cg"}
 
@@ -504,15 +490,13 @@ def _single_run(config, scenario, rng, a0, run=0):
     170 dB), where the quadratic form cancels down to its rounding error.
     """
     n = scenario.n_snapshots
-    n_alg = len(config.algorithms)
-    entries = [
-        _ENTRIES[spec.kind](spec, a0, config.gamma, scenario.noise_power)
-        for spec in config.algorithms
-    ]
-    gated = [j for j, spec in enumerate(config.algorithms) if spec.kind == "smcg"]
+    specs = config.algorithms
+    n_alg = len(specs)
+    gated = [j for j, spec in enumerate(specs) if spec.kind == "smcg"]
     stack_row = {j: b for b, j in enumerate(gated)}
+    entries = {j: _entry(spec, a0, config.gamma) for j, spec in enumerate(specs) if j not in gated}
     if gated:
-        stack = _GatedStack([entries[j] for j in gated], a0, scenario.noise_power)
+        stack = _GatedStack([specs[j] for j in gated], a0, config.gamma, scenario.noise_power)
     sinr_lin = np.empty((n_alg, n))
     delta_arr = np.zeros((n_alg, n))
     upd_arr = np.zeros((n_alg, n), dtype=bool)
@@ -526,7 +510,7 @@ def _single_run(config, scenario, rng, a0, run=0):
     for start, stop in zip(starts, starts[1:]):
         des_cov = desired_covariance(scenario, start)
         int_cov = interference_covariance(scenario, start)
-        for entry in entries:
+        for entry in entries.values():
             entry.start_epoch(scenario, start)
         for first in range(start, stop, _BLOCK):
             count = min(_BLOCK, stop - first)
@@ -534,11 +518,11 @@ def _single_run(config, scenario, rng, a0, run=0):
                 generate_snapshot(scenario, i, rng, snapshots)
             rows = snapshots.form()
             cols = slice(first - 1, first - 1 + count)
-            for j, entry in enumerate(entries):
+            for j in range(n_alg):
                 b = stack_row.get(j)
                 try:
                     if b is None:
-                        entry.run(rows, first, upd_arr[j, cols], delta_arr[j, cols], w_block)
+                        entries[j].run(rows, first, upd_arr[j, cols], w_block)
                         w_rows = w_block
                     else:
                         if b == 0:  # the stack advances where its first entry stands

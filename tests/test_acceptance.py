@@ -124,8 +124,7 @@ def test_criterion_3_conjugacy_and_step_size_sandwich():
     scenario = build_scenario(cfg, rng)
     a0 = steering_vector(scenario.geometry, scenario.desired_doa_deg)
     # the filter exactly as the preset runs it
-    entry = harness._SmCgEntry(spec, a0, cfg.gamma, scenario.noise_power)
-    state, policy = entry.state, entry.policy
+    state, policy = harness._gated_filter(spec, a0, cfg.gamma, scenario.noise_power)
     assert state.eta == 0.5
     updates = 0
     skipped_precondition = 0
@@ -135,7 +134,7 @@ def test_criterion_3_conjugacy_and_step_size_sandwich():
     for i in range(1, scenario.n_snapshots + 1):
         r = generate_snapshot(scenario, i, rng)
         y = np.vdot(state.w, r)
-        policy.update(np.vdot(a0, r), y, state.w, scenario.noise_power)
+        policy.update(np.vdot(a0, r), y, state.w)
         p_prev = state.p.copy()
         g_prev = state.g.copy()
         if not state.step(r, policy.delta, y).updated:

@@ -103,6 +103,19 @@ class TestFrostSg:
         y = algo.step(r)
         assert y == pytest.approx(complex(np.vdot(w_before, r)))
 
+    def test_updated_is_always_true(self):
+        """SG has no gate: every step counts as an update, even on y = 0."""
+        sc = easy_scenario()
+        a0 = steering_vector(sc.geometry, 90.0)
+        algo = FrostSg(a0)
+        assert algo.updated
+        rng = np.random.default_rng(5)
+        for i in range(1, 20):
+            algo.step(generate_snapshot(sc, i, rng))
+            assert algo.updated
+        algo.step(np.zeros(sc.geometry.n_sensors, dtype=complex))
+        assert algo.updated
+
     def test_validation(self):
         a0 = steering_vector(ArrayGeometry(4), 90.0)
         with pytest.raises(ValueError):
@@ -228,6 +241,23 @@ class TestConstrainedCg:
             assert algo.step(r) == y  # the output before the update
             assert algo.state.updated
         assert lams == [0.998] * 99
+
+    def test_updated_follows_the_gate(self):
+        """The zero bound accepts every nonzero output; an all-zero snapshot
+        gives ``y = 0``, which the gate rejects, leaving ``w`` as it was."""
+        sc = easy_scenario()
+        a0 = steering_vector(sc.geometry, 90.0)
+        algo = ConstrainedCg(a0)
+        rng = np.random.default_rng(6)
+        for i in range(1, 20):
+            algo.step(generate_snapshot(sc, i, rng))
+            assert algo.updated
+        w_before = algo.w
+        assert algo.step(np.zeros(sc.geometry.n_sensors, dtype=complex)) == 0
+        assert not algo.updated
+        assert algo.w is w_before
+        algo.step(generate_snapshot(sc, 20, rng))
+        assert algo.updated
 
     def test_w_mirrors_internal_state(self):
         a0 = steering_vector(ArrayGeometry(4), 90.0)

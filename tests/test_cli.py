@@ -157,14 +157,21 @@ class TestRun:
         assert "error:" in err
         assert "'sg'" in err
 
+    def test_overflowing_total_power_exits_2(self, tmp_path, capsys):
+        rc = main(["run", "--preset", "fig6", "--runs", "1", "--out", str(tmp_path),
+                   "--set", "scenario.n_snapshots=300", "--set", "scenario.inr_db=3080"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error: snr_db and inr_db give the 10 sources of the largest epoch" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "fig6.csv").exists()
 
     @pytest.mark.parametrize(
         "name, overrides",
         [
-            ("fig6", ["scenario.inr_db=3080"]),
             ("fig9", ["scenario.inr_db=3070", "scenario.epochs=1:8,200:12"]),
         ],
-        ids=["fig6", "fig9"],
+        ids=["fig9"],
     )
     def test_overflowing_bound_exits_1_with_context(self, tmp_path, capsys, name, overrides):
         argv = ["run", "--preset", name, "--runs", "1", "--out", str(tmp_path),

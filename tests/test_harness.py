@@ -183,6 +183,17 @@ class TestValidation:
                 r"snr_db gives the source power .* = inf",
                 id="noise-times-snr-overflows",
             ),
+            pytest.param(
+                dict(inr_db=3080.0),
+                "snr_db and inr_db give the 3 sources of the largest epoch the total "
+                "received power inf, not a finite float",
+                id="total-power-overflows",
+            ),
+            pytest.param(
+                dict(algorithms=(algo("x", "smcg", bound="fixed", delta=1e200),)),
+                r"algorithms\[x\]\.delta squared must be a finite float, got 1e\+200",
+                id="fixed-delta-squared-overflows",
+            ),
         ],
     )
     def test_each_bad_field_is_named(self, kw, match):
@@ -423,10 +434,9 @@ class TestRunExperiment:
     @pytest.mark.parametrize(
         "name, changes",
         [
-            ("fig6", dict(inr_db=3080.0)),
             ("fig9", dict(inr_db=3070.0, epochs=((1, 8), (200, 12)))),
         ],
-        ids=["fig6", "fig9"],
+        ids=["fig9"],
     )
     def test_overflowing_bound_reported_with_context(self, name, changes):
         """PIDB's ``|y0 - y|^2`` beyond float range ends the run with the
@@ -440,9 +450,25 @@ class TestRunExperiment:
         )
         assert isinstance(err.value.__cause__.__cause__, OverflowError)
 
-    def test_overflowing_gate_reported_with_context(self):
-        """A fixed bound whose square leaves float range fails at the gate."""
-        cfg = tiny_config(runs=1, algorithms=(algo("wide", "smcg", bound="fixed", delta=1e200),))
+    def test_overflowing_total_power_refused_before_running(self):
+        """fig6 at INR 3080 dB: each source power is finite, but nine
+        interferers of 1e308 sum beyond float range."""
+        (cfg,) = preset("fig6", runs=1)
+        cfg = replace(cfg, n_snapshots=300, inr_db=3080.0)
+        with pytest.raises(ConfigError, match=r"snr_db and inr_db give the 10 sources .* power inf"):
+            run_experiment(cfg)
+
+    def test_overflowing_gate_reported_with_context(self, monkeypatch):
+        """An output whose square leaves float range fails at the gate."""
+        cfg = tiny_config(runs=1, algorithms=(algo("wide", "smcg", bound="fixed", delta=1.0),))
+        draw = harness.generate_snapshot
+
+        def poisoned(scenario, i, rng, block):
+            draw(scenario, i, rng, block)
+            if i == 1:
+                block.noise[block.count - 1] = 1e200
+
+        monkeypatch.setattr(harness, "generate_snapshot", poisoned)
         with pytest.raises(RunDivergedError) as err:
             run_experiment(cfg)
         assert str(err.value) == (
@@ -599,25 +625,26 @@ class TestRunExperiment:
         scenario = build_scenario(cfg, rng)
         a0 = steering_vector(scenario.geometry, scenario.desired_doa_deg)
         rows = np.array([generate_snapshot(scenario, i, rng) for i in range(1, 301)])
-        entry = harness._SmCgEntry(cfg.algorithms[0], a0, cfg.gamma, scenario.noise_power)
-        stack = harness._GatedStack([entry], a0, scenario.noise_power)
+        stack = harness._GatedStack(cfg.algorithms, a0, cfg.gamma, scenario.noise_power)
+        ((_, stacked, _, _),) = stack.rows
         w_out = np.empty((1,) + rows.shape, dtype=complex)
         blocks = [stack.run(rows[first - 1 : first + 255], first, w_out) for first in (1, 257)]
         upd, dlt = (np.concatenate(parts, axis=1)[0] for parts in zip(*blocks))
 
-        ref = harness._SmCgEntry(cfg.algorithms[0], a0, cfg.gamma, scenario.noise_power)
-        state, policy = ref.state, ref.policy
+        state, policy = harness._gated_filter(
+            cfg.algorithms[0], a0, cfg.gamma, scenario.noise_power
+        )
         ref_upd, ref_dlt = [], []
         for r in rows:
             y = np.vdot(state.w, r)
-            policy.update(np.vdot(a0, r), y, state.w, scenario.noise_power)
+            policy.update(np.vdot(a0, r), y, state.w)
             ref_dlt.append(policy.delta)
             ref_upd.append(state.step(r, policy.delta, y).updated)
         assert 0 < upd.sum() < 300
         assert upd.tolist() == ref_upd
         assert dlt.tobytes() == np.array(ref_dlt).tobytes()
-        assert entry.state.w.tobytes() == state.w.tobytes()
-        assert entry.state.r_hat.tobytes() == state.r_hat.tobytes()
+        assert stacked.w.tobytes() == state.w.tobytes()
+        assert stacked.r_hat.tobytes() == state.r_hat.tobytes()
 
 
 class TestPresets:
