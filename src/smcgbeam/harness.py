@@ -18,22 +18,25 @@ bit-for-bit:
    that of earlier versions.
 
 Nothing else draws from it: the algorithms are deterministic, so every
-entry of the roster sees the identical snapshot stream within a run and
-adding or removing one changes no other entry's trace. The engine draws
-each snapshot with one ``generate_snapshot`` call, in order, into a
-``SnapshotBlock`` of at most ``_BLOCK`` snapshots that lies in one epoch;
-the call makes only the draws, and the block then forms every snapshot
-vector at once, bit for bit as one at a time. Each entry then runs
-through the block: SG and CG one snapshot per step, RLS the whole block in
-one call. The gated (``smcg``) entries run through it together, as the
-rows of one ``SmCgStack``, a lone one as a stack of one: per snapshot each
-row's bound is refreshed and its gate tested, and the rows that accept are
-committed with one set of NumPy calls, bit for bit as each would be alone.
+entry of the roster sees the identical snapshot stream within a run, and
+adding, removing or reordering entries changes no entry's trace. The
+engine draws each snapshot with one ``generate_snapshot`` call, in order,
+into a ``SnapshotBlock`` of at most ``_BLOCK`` snapshots that lies in one
+epoch; the call makes only the draws, and the block then forms every
+snapshot vector at once, bit for bit as one at a time. Runners then
+advance through the block in roster order: one per SG, CG (a step per
+snapshot), RLS (one call) or MVDR entry, and, where the first gated
+(``smcg``) entry stands, one for all of them as the rows of one
+``SmCgStack``: per snapshot each row's bound is refreshed and its gate
+tested, and the rows that accept are committed with one set of NumPy
+calls, bit for bit as each would be alone.
 
-Per-snapshot SINR is evaluated against the analytic epoch covariances and
-averaged across runs in the linear domain; update rates are averaged as
-per-run fractions. ``emit_csv`` serialises the aggregate with a fixed row
-order and 9 significant digits so re-runs are byte-identical.
+Right after each runner, its entries' per-snapshot SINR is evaluated on
+the analytic epoch covariances; a run that diverges stops in that block,
+naming entry and snapshot. SINRs are averaged across runs in the linear
+domain and update rates as per-run fractions. ``emit_csv`` writes the
+aggregate in a fixed row order with 9 significant digits, so re-runs are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ import hashlib
 import inspect
 import math
 from dataclasses import dataclass, field, fields, replace
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -157,9 +161,8 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(f.default, float) and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value!r}")
+            if isinstance(f.default, (int, float)):
+                _check_value(f.name, getattr(self, f.name), f.default, "finite")
         if self.m < 1:
             raise ConfigError("m must be at least 1")
         if not self.spacing_wavelengths > 0.0:
@@ -226,6 +229,23 @@ class ExperimentConfig:
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def _check_value(where: str, value, default, finite: str) -> None:
+    """Refuse, naming ``where``, a ``value`` that cannot stand for ``default``:
+    a bool for a bool, else a number that is not a bool, NumPy's included:
+    an integer for an int, any real for a float. A number must be finite as
+    a float, which an integer beyond float range is not (``finite`` says so)."""
+    kind = bool if isinstance(default, bool) else Integral if isinstance(default, int) else Real
+    if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
+        noun = {bool: "true or false", Integral: "an integer"}.get(kind, "a finite number")
+        raise ConfigError(f"{where} must be {noun}, got {value!r}")
+    try:
+        if kind is bool or math.isfinite(value):
+            return
+    except OverflowError:  # an int beyond float range
+        pass
+    raise ConfigError(f"{where} must be {finite}, got {value!r}")
+
+
 def _parameters(where: str, kind: str, bound: str) -> tuple[dict[str, object], str]:
     """The parameters an entry of ``kind`` with ``bound`` takes, and their owner."""
     if kind == "smcg":
@@ -243,14 +263,8 @@ def _validate_params(spec: AlgoSpec, m: int, gamma: float, noise_power: float) -
     for key, value in spec.params:
         if key not in names:
             raise ConfigError(f"{where}.{key} is not a parameter of {owner}")
-        default = names[key]
-        if isinstance(default, str):
-            continue  # the bound, checked above
-        if isinstance(default, bool):
-            if not isinstance(value, bool):
-                raise ConfigError(f"{where}.{key} must be true or false, got {value!r}")
-        elif isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-            raise ConfigError(f"{where}.{key} must be a finite number, got {value!r}")
+        if not isinstance(names[key], str):  # the bound, checked above
+            _check_value(f"{where}.{key}", value, names[key], "a finite number")
     for key, default in names.items():
         if default is _REQUIRED and spec.get(key) is None:
             raise ConfigError(f"{where} {owner} needs {key}")
@@ -259,8 +273,8 @@ def _validate_params(spec: AlgoSpec, m: int, gamma: float, noise_power: float) -
     try:
         if spec.kind == "smcg":
             _gated_filter(spec, a0, gamma, noise_power)
-        else:
-            _entry(spec, a0, gamma)
+        elif spec.kind in _FILTERS:
+            _FILTERS[spec.kind](a0, gamma=gamma, **dict(spec.params))
     except ValueError as exc:
         raise ConfigError(f"{where}.{exc}") from exc
 
@@ -321,40 +335,35 @@ def build_scenario(config: ExperimentConfig, rng: np.random.Generator) -> Scenar
     )
 
 
-class _StepDiverged(Exception):
-    """A filter step failed; carries what went wrong, the snapshot and, for a
-    row of the gated stack, the row."""
-
-    def __init__(self, what: str, snapshot: int, row: int | None = None) -> None:
-        super().__init__(what, snapshot)
-        self.what, self.snapshot, self.row = what, snapshot, row
+def _diverged(what: str, label: str, snapshot: int) -> RunDivergedError:
+    return RunDivergedError(f"{what} for algorithm {label!r} at snapshot {snapshot}")
 
 
 class _Entry:
-    """One roster entry of a run: its filter and the loop that advances it.
+    """A runner of roster entries; this one steps a filter once per snapshot.
 
-    ``run`` steps the filter once per snapshot of a block, all in one epoch,
-    and writes its ``updated`` and ``w`` after each step into the given rows;
-    a ``ValueError`` out of a step becomes :class:`_StepDiverged`. RLS steps
-    the block in one call and MVDR keeps one weight vector per epoch; they
-    write the weights on row 0 and on every row where they updated, and the
-    engine reads no other rows of ``w_out``. The gated entries are advanced
-    together by :class:`_GatedStack` instead.
+    Every runner lists its entries' roster indices in ``roster`` and holds
+    their weights in ``w_out``, one ``(_BLOCK, m)`` row each. ``run(block,
+    first, upd, dlt)`` advances them through a block of snapshots in one
+    epoch, the first of them snapshot ``first``: on their rows of the
+    roster-wide ``upd`` and ``dlt`` it writes whether each updated and its
+    bound (zero but for a gated entry), and in ``w_out`` their weights, on
+    column 0 and wherever they updated. A ``ValueError`` out of a step raises
+    :class:`RunDivergedError` naming entry and snapshot.
     """
 
-    def __init__(self, algo) -> None:
-        self.algo = algo
+    def __init__(self, j: int, label: str, algo) -> None:
+        self.roster, self.label, self.algo = [j], label, algo
+        self.w_out = np.empty((1, _BLOCK, algo.w.size), dtype=complex)
 
-    def start_epoch(self, scenario: Scenario, i: int) -> None:
-        pass
-
-    def run(self, block, first, upd, w_out) -> None:
-        algo = self.algo
+    def run(self, block, first, upd, dlt) -> None:
+        (j,) = self.roster
+        algo, upd, w_out = self.algo, upd[j], self.w_out[0]
         for k, r in enumerate(block):
             try:
                 algo.step(r)
             except ValueError as exc:
-                raise _StepDiverged(str(exc), first + k) from exc
+                raise _diverged(str(exc), self.label, first + k) from exc
             upd[k] = algo.updated
             w_out[k] = algo.w
 
@@ -370,36 +379,35 @@ def _gated_filter(spec: AlgoSpec, a0: np.ndarray, gamma: float, noise_power: flo
 
 
 class _GatedStack:
-    """A run's gated entries, advanced as the rows of one :class:`SmCgStack`.
+    """The runner of the gated entries ``roster`` of ``specs``, advanced as
+    the rows of one :class:`SmCgStack`.
 
-    ``run`` advances them through one block as ``_Entry.run`` does, with
-    one leading row per entry in ``w_out``, and returns whether each entry
-    updated and its bound as ``(entries, snapshots)`` arrays. Per snapshot
-    every row's policy is refreshed and its state stepped, in roster order,
-    and the rows that accepted are committed together. ``w^H r`` is formed
-    for all rows with one ``vecdot``, which rounds each row as ``vdot``:
-    one snapshot at a time right after an update, and after a streak of
-    ``s`` snapshots that no row accepted, for the next ``4^s`` (up to the
-    end of the block). A gate that alternates then forms few outputs it
-    does not read, and a closed gate forms the rest of the block after its
-    fifth rejection. A ``ValueError`` out of a step, or an
-    ``OverflowError`` out of a bound refresh or a gate, becomes
-    :class:`_StepDiverged` naming the row. A stack of one commits inside
-    ``step``, so its ``commit`` returns at once.
+    Per snapshot every row's policy is refreshed and its state stepped, in
+    roster order, and the rows that accepted are committed together.
+    ``w^H r`` is formed for all rows with one ``vecdot``, which rounds each
+    row as ``vdot``: one snapshot at a time right after an update, and
+    after a streak of ``s`` snapshots that no row accepted, for the next
+    ``4^s`` (up to the end of the block). A gate that alternates then forms
+    few outputs it does not read, and a closed gate forms the rest of the
+    block after its fifth rejection. A ``ValueError`` out of a step or an
+    ``OverflowError`` out of a bound refresh or a gate fails, naming the
+    row's entry. A stack of one commits inside ``step``.
     """
 
-    def __init__(self, specs, a0: np.ndarray, gamma: float, noise_power: float) -> None:
-        filters = [_gated_filter(spec, a0, gamma, noise_power) for spec in specs]
+    def __init__(self, roster, specs, a0: np.ndarray, gamma: float, noise_power: float) -> None:
+        filters = [_gated_filter(specs[j], a0, gamma, noise_power) for j in roster]
+        self.roster, self.labels = roster, [specs[j].label for j in roster]
+        self.w_out = np.empty((len(roster), _BLOCK, a0.size), dtype=complex)
         self.stack = SmCgStack([state for state, _ in filters])
         self.rows = [(b, state, policy, policy.update) for b, (state, policy) in enumerate(filters)]
         self.a0 = a0
         self.streak = 0  # snapshots since any row last updated
 
-    def run(self, block, first, w_out) -> tuple[np.ndarray, np.ndarray]:
-        stack, rows = self.stack, self.rows
+    def run(self, block, first, upd, dlt) -> None:
+        stack, rows, w_out = self.stack, self.rows, self.w_out
         count = len(block)
         y0s = np.vecdot(self.a0, block).tolist()
-        w_out[:, 0] = stack.w  # row 0's post-step weights unless it updates
+        w_out[:, 0] = stack.w  # column 0's post-step weights unless it updates
         updated_flags, deltas = [], []
         flag, bound = updated_flags.append, deltas.append
         streak, ahead, start = self.streak, 0, 0  # outputs of block[start:ahead] formed
@@ -417,10 +425,10 @@ class _GatedStack:
                     delta = policy.delta
                     updated = state.step(r, delta, y).updated
                 except ValueError as exc:
-                    raise _StepDiverged(str(exc), first + k, b) from exc
+                    raise _diverged(str(exc), self.labels[b], first + k) from exc
                 except OverflowError as exc:  # a float power in the bound or the gate
                     what = "bound or output beyond float range"
-                    raise _StepDiverged(what, first + k, b) from exc
+                    raise _diverged(what, self.labels[b], first + k) from exc
                 flag(updated)
                 bound(delta)
                 if updated:
@@ -433,36 +441,39 @@ class _GatedStack:
                 streak += 1
         self.streak = streak
         shape = (count, len(rows))
-        return np.reshape(updated_flags, shape).T, np.reshape(deltas, shape).T
+        upd[self.roster] = np.reshape(updated_flags, shape).T
+        dlt[self.roster] = np.reshape(deltas, shape).T
 
 
 class _RlsEntry(_Entry):
-    def run(self, block, first, upd, w_out) -> None:
-        upd[:] = True
+    def run(self, block, first, upd, dlt) -> None:
+        upd[self.roster] = True
         try:
-            w_out[: len(block)] = self.algo.step(block)
+            self.w_out[0, : len(block)] = self.algo.step(block)
         except NonFiniteUpdate as exc:
-            raise _StepDiverged("non-finite inverse covariance", first + exc.row) from exc
+            raise _diverged("non-finite inverse covariance", self.label, first + exc.row) from exc
 
 
-class _MvdrEntry(_Entry):
-    def __init__(self, a0: np.ndarray, gamma: float) -> None:
-        self.a0 = a0
-        self.gamma = gamma
+class _MvdrEntry:
+    """The runner of an ``mvdr`` entry, weighted at each epoch start by its covariance."""
 
-    def start_epoch(self, scenario: Scenario, i: int) -> None:
-        self.w = mvdr_weights(total_covariance(scenario, i), self.a0, self.gamma)
+    def __init__(self, j: int, scenario: Scenario, a0: np.ndarray, gamma: float) -> None:
+        self.roster, self.w_out = [j], np.empty((1, _BLOCK, a0.size), dtype=complex)
+        self.scenario, self.a0, self.gamma = scenario, a0, gamma
+        self.starts = {start for start, _ in scenario.epochs}
 
-    def run(self, block, first, upd, w_out) -> None:
-        w_out[0] = self.w
+    def run(self, block, first, upd, dlt) -> None:
+        if first in self.starts:  # its weights are read there only
+            cov = total_covariance(self.scenario, first)
+            self.w_out[0, 0] = mvdr_weights(cov, self.a0, self.gamma)
 
 
-def _entry(spec: AlgoSpec, a0: np.ndarray, gamma: float) -> _Entry:
-    """The roster entry of a spec of any kind but ``smcg``."""
+def _entry(j: int, spec: AlgoSpec, scenario: Scenario, a0: np.ndarray, gamma: float):
+    """The runner of roster entry ``j``, of any kind but ``smcg``."""
     if spec.kind == "mvdr":
-        return _MvdrEntry(a0, gamma)
+        return _MvdrEntry(j, scenario, a0, gamma)
     algo = _FILTERS[spec.kind](a0, gamma=gamma, **dict(spec.params))
-    return _RlsEntry(algo) if spec.kind == "rls" else _Entry(algo)
+    return (_RlsEntry if spec.kind == "rls" else _Entry)(j, spec.label, algo)
 
 
 _COMPLEXITY_KIND = {"smcg": "sm-cg", "sg": "sg", "rls": "rls", "cg": "cg"}
@@ -471,98 +482,86 @@ _COMPLEXITY_KIND = {"smcg": "sm-cg", "sg": "sg", "rls": "rls", "cg": "cg"}
 # enough that the block buffers stay small next to the per-run traces.
 _BLOCK = 256
 
+_NONPOSITIVE = "the weights are finite but the interference-plus-noise output power is not positive"
 
-def _single_run(config, scenario, rng, a0, run=0):
+
+def _single_run(config, scenario, rng, a0):
     """Advance every roster entry through one run, block by block.
 
     Blocks never straddle an epoch start. Within a block the snapshots are
     drawn first, one ``generate_snapshot`` call each, and formed at once;
-    then each entry runs through all of them, the gated entries as one
-    stack where the first of them stands in the roster. The SINR and the
-    constraint error are evaluated in one batch for the snapshots where the
-    entry updated or an epoch starts, and carried forward in between. A
-    failed step is reported for the first gated entry that fails in
-    snapshot order, then roster order.
+    then each runner advances through them in roster order, the gated one
+    where its first entry stands, and its entries are evaluated: the SINR
+    and the constraint error in one batch for the snapshots where the entry
+    updated or an epoch starts, carried forward in between.
 
-    Raises :class:`RunDivergedError` where finite weights give an
-    interference-plus-noise output power ``w^H R_in w`` that rounds to zero
-    or below. That happens at an INR far above the noise floor (fig6 at
-    170 dB), where the quadratic form cancels down to its rounding error.
+    Raises :class:`RunDivergedError` naming the entry and the first snapshot
+    of a SINR, a bound or a constraint error that is not finite. A SINR
+    that is not a number for finite weights means that ``w^H R_in w``
+    rounds to zero or below, as at an INR far above the noise floor (fig6
+    at 170 dB), where the quadratic form cancels down to its rounding error.
     """
     n = scenario.n_snapshots
     specs = config.algorithms
     n_alg = len(specs)
     gated = [j for j, spec in enumerate(specs) if spec.kind == "smcg"]
-    stack_row = {j: b for b, j in enumerate(gated)}
-    entries = {j: _entry(spec, a0, config.gamma) for j, spec in enumerate(specs) if j not in gated}
-    if gated:
-        stack = _GatedStack([specs[j] for j in gated], a0, config.gamma, scenario.noise_power)
+    runners = [
+        _entry(j, specs[j], scenario, a0, config.gamma) for j in range(n_alg) if j not in gated
+    ]
+    if gated:  # the stack advances where its first entry stands
+        runners.insert(gated[0], _GatedStack(gated, specs, a0, config.gamma, scenario.noise_power))
     sinr_lin = np.empty((n_alg, n))
     delta_arr = np.zeros((n_alg, n))
     upd_arr = np.zeros((n_alg, n), dtype=bool)
     cons_err = np.zeros(n_alg)
     current = np.full(n_alg, math.nan)
     snapshots = SnapshotBlock(scenario, _BLOCK, rng)
-    w_block = np.empty((_BLOCK, scenario.geometry.n_sensors), dtype=complex)
-    w_gated = np.empty((len(gated),) + w_block.shape, dtype=complex)
     starts = [start for start, _ in scenario.epochs] + [n + 1]
 
     for start, stop in zip(starts, starts[1:]):
         des_cov = desired_covariance(scenario, start)
         int_cov = interference_covariance(scenario, start)
-        for entry in entries.values():
-            entry.start_epoch(scenario, start)
         for first in range(start, stop, _BLOCK):
             count = min(_BLOCK, stop - first)
             for i in range(first, first + count):
                 generate_snapshot(scenario, i, rng, snapshots)
             rows = snapshots.form()
             cols = slice(first - 1, first - 1 + count)
-            for j in range(n_alg):
-                b = stack_row.get(j)
-                try:
-                    if b is None:
-                        entries[j].run(rows, first, upd_arr[j, cols], w_block)
-                        w_rows = w_block
-                    else:
-                        if b == 0:  # the stack advances where its first entry stands
-                            upd_arr[gated, cols], delta_arr[gated, cols] = stack.run(
-                                rows, first, w_gated
-                            )
-                        w_rows = w_gated[b]
-                except _StepDiverged as exc:
-                    label = config.algorithms[j if exc.row is None else gated[exc.row]].label
-                    raise RunDivergedError(
-                        f"run {run}: {exc.what} for algorithm {label!r} at snapshot {exc.snapshot}"
-                    ) from exc
-                fresh = upd_arr[j, cols].copy()
-                fresh[0] |= first == start
-                idx = np.flatnonzero(fresh)
-                vals = sinr_linear(w_rows[idx], des_cov, int_cov)
-                failed = np.isnan(vals)
-                if failed.any():
-                    row = idx[np.argmax(failed)]
-                    if np.isfinite(w_rows[row].view(float)).all():
-                        raise RunDivergedError(
-                            f"run {run}: the weights are finite but the interference-plus-"
-                            f"noise output power is not positive for algorithm "
-                            f"{config.algorithms[j].label!r} at snapshot {first + row}"
-                        )
-                ok = idx[~failed]
-                errs = constraint_error_rows(w_rows[ok], a0, config.gamma)
-                cons_err[j] = np.fmax.reduce(errs, initial=cons_err[j])
-                filled = np.concatenate(([current[j]], vals))[np.cumsum(fresh)]
-                sinr_lin[j, cols] = filled
-                current[j] = filled[-1]
+            upd, dlt = upd_arr[:, cols], delta_arr[:, cols]
+            for runner in runners:
+                runner.run(rows, first, upd, dlt)
+                for j, w_rows in zip(runner.roster, runner.w_out):
+                    label = specs[j].label
+                    fresh = upd[j].copy()
+                    fresh[0] |= first == start
+                    idx = np.flatnonzero(fresh)
+                    vals = sinr_linear(w_rows[idx], des_cov, int_cov)
+                    bad = ~np.isfinite(vals)
+                    if bad.any():
+                        b = np.argmax(bad)
+                        finite = np.isfinite(w_rows[idx[b]].view(float)).all()
+                        what = _NONPOSITIVE if finite and np.isnan(vals[b]) else "non-finite sinr"
+                        raise _diverged(what, label, first + idx[b])
+                    bad = ~np.isfinite(dlt[j])
+                    if bad.any():
+                        raise _diverged("non-finite bound", label, first + np.argmax(bad))
+                    errs = constraint_error_rows(w_rows[idx], a0, config.gamma)
+                    bad = ~np.isfinite(errs)
+                    if bad.any():
+                        raise _diverged("non-finite weights", label, first + idx[np.argmax(bad)])
+                    cons_err[j] = np.fmax.reduce(errs, initial=cons_err[j])
+                    filled = np.concatenate(([current[j]], vals))[np.cumsum(fresh)]
+                    sinr_lin[j, cols] = filled
+                    current[j] = filled[-1]
     return sinr_lin, delta_arr, upd_arr, cons_err
 
 
 def run_experiment(config: ExperimentConfig) -> AggregateResult:
     """Run all Monte-Carlo repetitions of ``config`` and aggregate them.
 
-    Raises :class:`RunDivergedError` the moment any run records a
-    non-finite SINR or bound, naming the run, algorithm and
-    snapshot; nothing is dropped silently.
+    Raises :class:`RunDivergedError` in the block where a run diverges or
+    a filter step fails, naming the run, the algorithm and the snapshot;
+    nothing is dropped silently.
     """
     config.validate()
     labels = tuple(spec.label for spec in config.algorithms)
@@ -579,19 +578,10 @@ def run_experiment(config: ExperimentConfig) -> AggregateResult:
         rng = np.random.default_rng(config.master_seed ^ k)
         scenario = build_scenario(config, rng)
         a0 = steering_vector(scenario.geometry, scenario.desired_doa_deg)
-        sinr_lin, delta_arr, upd_arr, cons_err = _single_run(config, scenario, rng, a0, k)
-        for name, arr in (("sinr", sinr_lin), ("bound", delta_arr)):
-            if not np.all(np.isfinite(arr)):
-                j, col = np.argwhere(~np.isfinite(arr))[0]
-                raise RunDivergedError(
-                    f"run {k}: non-finite {name} for algorithm "
-                    f"{labels[j]!r} at snapshot {col + 1}"
-                )
-        if not np.all(np.isfinite(cons_err)):
-            j = int(np.argwhere(~np.isfinite(cons_err))[0][0])
-            raise RunDivergedError(
-                f"run {k}: non-finite weights for algorithm {labels[j]!r}"
-            )
+        try:
+            sinr_lin, delta_arr, upd_arr, cons_err = _single_run(config, scenario, rng, a0)
+        except RunDivergedError as exc:
+            raise RunDivergedError(f"run {k}: {exc}") from exc
         acc_lin += sinr_lin
         acc_delta += delta_arr
         acc_cum += np.cumsum(upd_arr, axis=1) / steps
@@ -833,8 +823,6 @@ def _parse_epochs(text: str) -> tuple[tuple[int, int], ...]:
             out.append((int(start_s), int(q_s)))
         except ValueError as exc:
             raise ConfigError(f"epochs entry {item!r} is not start:sources") from exc
-    if not out:
-        raise ConfigError("epochs must not be empty")
     return tuple(out)
 
 

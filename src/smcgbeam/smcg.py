@@ -363,8 +363,8 @@ class SmCgStack:
         self.steering = np.array([s.steering for s in states])
         # complex columns: (x, +0) is the operand NumPy makes of a float times a complex array
         self.gamma = np.array([[s.gamma] for s in states], dtype=complex)
-        self._solves = any(s.lambda1_min < s.lambda1_max for s in states)
         self._single = len(states) == 1
+        self._solves = states[0].lambda1_min < states[0].lambda1_max
         self._snapshot = self._forms = None
         self._staged: list[tuple[int, float, float, complex]] = []
         for row, state in enumerate(states):
@@ -374,8 +374,8 @@ class SmCgStack:
         """Per row, the inner products an update reads, as Python numbers.
 
         ``(Re p^H R p, v^H r, g^H p, p^H r, v^H a0, p^H a0)``; the last two,
-        which only a root reads, are ``None`` when every row's clamp pins
-        lambda1. One row forms them on its own views with ``vdot``, as a
+        which only a root reads, are ``None`` for a lone filter whose clamp
+        pins lambda1. One row forms them on its own views with ``vdot``, as a
         lone filter does; several with one stacked call per product.
         """
         if self._single:
@@ -394,10 +394,7 @@ class SmCgStack:
         p_r_p = np.vecdot(p, np.matvec(self.r_hat, p)).real.tolist()
         vr, pr = np.vecdot(self._vp, r).tolist()
         gp = np.vecdot(self.g, p).tolist()
-        if self._solves:
-            va, pa = np.vecdot(self._vp, self.steering).tolist()
-        else:
-            va = pa = [None] * len(p)
+        va, pa = np.vecdot(self._vp, self.steering).tolist()
         return list(zip(p_r_p, vr, gp, pr, va, pa))
 
     def forms(self, r: np.ndarray) -> list[tuple]:

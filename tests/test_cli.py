@@ -102,6 +102,7 @@ class TestRun:
             ("scenario.m=abc", "scenario.m must be an integer, got 'abc'"),
             ("run.runs=x", "run.runs must be an integer, got 'x'"),
             ("scenario.snr_db=ten", "scenario.snr_db must be a number, got 'ten'"),
+            ("scenario.epochs=,", "epochs must not be empty"),
         ],
     )
     def test_unparsable_value_exits_2_naming_it(self, tmp_path, capsys, override, message):

@@ -1,6 +1,7 @@
 """Experiment configuration, Monte-Carlo driver, presets and emitters."""
 
 import configparser
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -194,11 +195,33 @@ class TestValidation:
                 r"algorithms\[x\]\.delta squared must be a finite float, got 1e\+200",
                 id="fixed-delta-squared-overflows",
             ),
+            pytest.param(
+                dict(snr_db=10**400), r"snr_db must be finite, got 10{400}$",
+                id="int-beyond-float-range",
+            ),
+            pytest.param(
+                dict(algorithms=(algo("x", "smcg", eta=10**400),)),
+                r"algorithms\[x\]\.eta must be a finite number, got 10{400}$",
+                id="param-int-beyond-float-range",
+            ),
+            pytest.param(dict(m=16.0), r"m must be an integer, got 16\.0", id="float-for-int"),
         ],
     )
     def test_each_bad_field_is_named(self, kw, match):
         with pytest.raises(ConfigError, match=match):
             replace(tiny_config(), **kw).validate()
+
+    def test_numpy_scalars_stand_for_python_numbers(self):
+        """An integer NumPy scalar is an integer and a real one a number, as
+        from the Python API; the run is that of the Python values."""
+        cfg = tiny_config(
+            m=np.int64(8), n_snapshots=np.int64(50), snr_db=np.int64(10), inr_db=np.float32(20),
+            algorithms=(algo("x", "smcg", eta=np.float32(0.5)), algo("r", "rls")),
+        )
+        cfg.validate()
+        plain = tiny_config(m=8, algorithms=(algo("r", "rls"),))
+        got = run_experiment(replace(cfg, algorithms=plain.algorithms))
+        assert got.mean_sinr_db["r"].tobytes() == run_experiment(plain).mean_sinr_db["r"].tobytes()
 
     def test_digest_tracks_content(self):
         cfg = tiny_config()
@@ -289,6 +312,25 @@ class TestRunExperiment:
                 npt.assert_array_equal(
                     other.update_rate_cum[lab], full.update_rate_cum[lab][:n]
                 )
+
+    def test_traces_independent_of_roster_order(self):
+        """Reversing a roster of every kind, gated entries apart, leaves
+        each entry's traces bit-identical."""
+        roster = (
+            algo("sg", "sg"),
+            algo("smcg_pidb", "smcg", bound="pidb"),
+            algo("rls", "rls"),
+            algo("smcg_fixed", "smcg", bound="fixed", delta=2.0),
+            algo("cg", "cg"),
+            algo("mvdr", "mvdr"),
+        )
+        base = tiny_config(m=6, epochs=((1, 3), (200, 5)), n_snapshots=600, algorithms=roster)
+        forward = run_experiment(base)
+        backward = run_experiment(replace(base, algorithms=roster[::-1]))
+        for name in ("mean_sinr_db", "mean_delta", "update_rate_cum"):
+            for spec in roster:
+                got = getattr(backward, name)[spec.label]
+                assert got.tobytes() == getattr(forward, name)[spec.label].tobytes(), (name, spec)
 
     def test_entry_that_never_updates_is_scored_on_its_initial_weights(self):
         """A gate that never opens leaves the quiescent weights, and each
@@ -385,6 +427,55 @@ class TestRunExperiment:
             "run 0: the weights are finite but the interference-plus-noise output power "
             "is not positive for algorithm 'rls' at snapshot 12"
         )
+
+    def test_nonfinite_sinr_named_by_its_snapshot(self, monkeypatch):
+        """SG's weights turn not-a-number at its 37th step: the block that
+        holds it names snapshot 37."""
+        step, calls = harness.FrostSg.step, []
+
+        def poisoned(self, r):
+            calls.append(r)
+            y = step(self, r)
+            if len(calls) == 37:
+                self.w = np.full_like(self.w, np.nan)
+            return y
+
+        monkeypatch.setattr(harness.FrostSg, "step", poisoned)
+        with pytest.raises(RunDivergedError) as err:
+            run_experiment(tiny_config(n_snapshots=300))
+        assert str(err.value) == "run 0: non-finite sinr for algorithm 'sg' at snapshot 37"
+
+    def test_nonfinite_bound_behind_a_shut_gate_named(self, monkeypatch):
+        """An infinite bound from snapshot 290 shuts the gate, so the weights
+        stay finite; the bound itself is named at 290."""
+        update, calls = harness.PidbBound.update, []
+
+        def poisoned(self, y0, y, w):
+            calls.append(y)
+            update(self, y0, y, w)
+            if len(calls) >= 290:
+                self.delta = math.inf
+
+        monkeypatch.setattr(harness.PidbBound, "update", poisoned)
+        with pytest.raises(RunDivergedError) as err:
+            run_experiment(tiny_config(n_snapshots=300))
+        assert str(err.value) == "run 0: non-finite bound for algorithm 'smcg' at snapshot 290"
+
+    def test_nonfinite_constraint_error_named_by_its_snapshot(self, monkeypatch):
+        """Row 36 of the block starting at 257 is snapshot 293."""
+        errors, calls = harness.constraint_error_rows, []
+
+        def poisoned(w_rows, steering, gamma):
+            errs = errors(w_rows, steering, gamma)
+            calls.append(errs)
+            if len(calls) == 2:
+                errs[36] = math.inf
+            return errs
+
+        monkeypatch.setattr(harness, "constraint_error_rows", poisoned)
+        with pytest.raises(RunDivergedError) as err:
+            run_experiment(tiny_config(n_snapshots=300, algorithms=(algo("sg", "sg"),)))
+        assert str(err.value) == "run 0: non-finite weights for algorithm 'sg' at snapshot 293"
 
     @pytest.mark.parametrize("kind", ["smcg", "cg"])
     def test_failed_step_reported_with_context(self, monkeypatch, kind):
@@ -625,11 +716,13 @@ class TestRunExperiment:
         scenario = build_scenario(cfg, rng)
         a0 = steering_vector(scenario.geometry, scenario.desired_doa_deg)
         rows = np.array([generate_snapshot(scenario, i, rng) for i in range(1, 301)])
-        stack = harness._GatedStack(cfg.algorithms, a0, cfg.gamma, scenario.noise_power)
+        stack = harness._GatedStack([0], cfg.algorithms, a0, cfg.gamma, scenario.noise_power)
         ((_, stacked, _, _),) = stack.rows
-        w_out = np.empty((1,) + rows.shape, dtype=complex)
-        blocks = [stack.run(rows[first - 1 : first + 255], first, w_out) for first in (1, 257)]
-        upd, dlt = (np.concatenate(parts, axis=1)[0] for parts in zip(*blocks))
+        upd, dlt = np.zeros((1, 300), dtype=bool), np.zeros((1, 300))
+        for first in (1, 257):
+            cols = slice(first - 1, first + 255)
+            stack.run(rows[cols], first, upd[:, cols], dlt[:, cols])
+        upd, dlt = upd[0], dlt[0]
 
         state, policy = harness._gated_filter(
             cfg.algorithms[0], a0, cfg.gamma, scenario.noise_power

@@ -618,6 +618,36 @@ class TestStateInvariants:
         npt.assert_array_equal(state.w, w_before)
 
 
+def _degenerate(state):
+    """Set ``state`` up so that its next update leaves ``v`` orthogonal to a0 = ones(4)."""
+    q = np.array([1.0, -1.0, 1.0, -1.0], dtype=complex)
+    state.v = 0.1 * q
+    state.p = q.astype(complex)
+    state.g = np.zeros(4, dtype=complex)
+
+
+@pytest.mark.parametrize("degenerate", [(1,), (0, 1, 2)], ids=["middle", "all"])
+def test_stacked_degenerate_rows_keep_their_weights(degenerate):
+    """Three rows accept one snapshot; each degenerate row keeps its ``w``
+    object, and every row ends as its lone twin bit for bit."""
+    a0 = np.ones(4, dtype=complex)
+    r = np.array([3.0, 0, 0, 0], dtype=complex)
+    stacked, alone = ([SmCgState(a0) for _ in range(3)] for _ in range(2))
+    for row in degenerate:
+        _degenerate(stacked[row])
+        _degenerate(alone[row])
+    stack = SmCgStack(stacked)
+    weights = [state.w for state in stacked]
+    for state in stacked:
+        assert step(state, r, 0.5)
+    stack.commit()
+    for row, (got, want) in enumerate(zip(stacked, alone)):
+        assert step(want, r, 0.5)
+        assert (got.w is weights[row]) == (row in degenerate)
+        for name in ("v", "g", "p", "r_hat", "w"):
+            assert same_bits(getattr(got, name), getattr(want, name)), (row, name)
+
+
 def _gated_run(sc, rows, gamma, policy):
     """Drive a state built at ``gamma`` through ``rows`` under ``policy(state)``.
 
