@@ -96,7 +96,6 @@ class Scenario:
             raise ValueError("epoch start indices must be strictly increasing")
         if starts[-1] > self.n_snapshots:
             raise ValueError("epoch start index beyond n_snapshots")
-        doa0 = self.epochs[0][1][0].doa_deg
         for start, sources in self.epochs:
             if not sources:
                 raise ValueError(f"epoch at {start} has no sources")
@@ -104,7 +103,7 @@ class Scenario:
                 raise ValueError(
                     f"epoch at {start} has more sources than sensors"
                 )
-            if sources[0].doa_deg != doa0:
+            if sources[0].doa_deg != self.desired_doa_deg:
                 raise ValueError("desired arrival angle must not change")
         # generate_snapshot and the covariance helpers read these per
         # snapshot, so each epoch's tables are built once, here

@@ -25,7 +25,6 @@ from .harness import (
     presets,
     run_experiment,
     sections_to_config,
-    with_runs_and_seed,
 )
 
 
@@ -68,18 +67,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_configs(args):
-    if args.preset:
-        configs = preset(args.preset)
-    else:
-        configs = (load_config_file(args.config),)
-    configs = with_runs_and_seed(configs, args.runs, args.seed)
-    if args.overrides:
-        patched = []
-        for config in configs:
-            sections = apply_overrides(config_to_sections(config), args.overrides)
-            patched.append(sections_to_config(sections))
-        configs = tuple(patched)
-    return configs
+    configs = preset(args.preset) if args.preset else (load_config_file(args.config),)
+    # --runs and --seed are --set items placed first, so a later --set wins
+    given = (("run.runs", args.runs), ("run.master_seed", args.seed))
+    overrides = [f"{key}={value}" for key, value in given if value is not None] + args.overrides
+    if not overrides:
+        return configs
+    return tuple(
+        sections_to_config(apply_overrides(config_to_sections(c), overrides)) for c in configs
+    )
 
 
 def _cmd_run(args) -> int:
@@ -120,13 +116,10 @@ def _cmd_complexity(args) -> int:
 
 def _cmd_list_presets() -> int:
     for name, configs in presets().items():
-        parts = []
+        print(name)
         for c in configs:
             algos = ",".join(spec.label for spec in c.algorithms)
-            parts.append(f"{c.label}: m={c.m} N={c.n_snapshots} [{algos}]")
-        print(f"{name}")
-        for part in parts:
-            print(f"  {part}")
+            print(f"  {c.label}: m={c.m} N={c.n_snapshots} [{algos}]")
     return 0
 
 

@@ -197,6 +197,11 @@ class ExperimentConfig:
             raise ConfigError("master_seed must be non-negative")
         if not self.epochs:
             raise ConfigError("epochs must not be empty")
+        for entry in self.epochs:
+            if not (isinstance(entry, (tuple, list)) and len(entry) == 2):
+                raise ConfigError(f"epochs entry {entry!r} is not a (start, sources) pair")
+            for value in entry:
+                _check_value("epochs", value, 0, "finite")
         starts = [start for start, _ in self.epochs]
         if starts[0] != 1:
             raise ConfigError("epochs must start at snapshot 1")
@@ -665,7 +670,7 @@ def emit_complexity_table(path, m_values, n_snapshots: int = 1000) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _smcg_pidb(label="smcg") -> AlgoSpec:
+def _smcg_pidb(label="smcg", epsilon=9.82e-5) -> AlgoSpec:
     # Operating point tuned at the fig6 scenario (100 runs, master seed 1):
     # mean update rate 9.0%, final-200 SINR 1.96 dB off the analytic optimum,
     # steady bound (sigma/mean 0.3% over the last 500 snapshots).  Heavy
@@ -673,7 +678,7 @@ def _smcg_pidb(label="smcg") -> AlgoSpec:
     # weight vector while the bound is still settling.
     return algo(
         label, "smcg", bound="pidb", eta=0.5,
-        epsilon=9.82e-5, varsigma=85.0, rho=0.90, r_hat_init=2450.0,
+        epsilon=epsilon, varsigma=85.0, rho=0.90, r_hat_init=2450.0,
     )
 
 
@@ -681,13 +686,13 @@ def presets() -> dict[str, tuple[ExperimentConfig, ...]]:
     """The packaged experiment presets, keyed by name.
 
     Each value is a tuple of configurations sharing the preset's scenario;
-    sweeps expand into one configuration per operating point.
+    sweeps expand into one configuration per operating point. A preset
+    names only what differs from the :class:`ExperimentConfig` defaults.
     """
     fixed_delta = math.sqrt(5.0)  # noise floor of 1.0 under every preset
     fig4 = ExperimentConfig(
         label="fig4",
-        snr_db=10.0, inr_db=30.0,
-        epochs=((1, 10),), n_snapshots=4000,
+        n_snapshots=4000,
         algorithms=(
             algo("smcg", "smcg", bound="fixed", delta=fixed_delta, eta=0.5),
             algo("rls", "rls"),
@@ -696,8 +701,7 @@ def presets() -> dict[str, tuple[ExperimentConfig, ...]]:
     )
     fig5 = ExperimentConfig(
         label="fig5",
-        snr_db=10.0, inr_db=35.0,
-        epochs=((1, 10),), n_snapshots=3000,
+        inr_db=35.0,
         algorithms=(
             algo("smcg_d08", "smcg", bound="fixed", delta=0.8, eta=0.5),
             algo("smcg_d10", "smcg", bound="fixed", delta=1.0, eta=0.5),
@@ -709,8 +713,6 @@ def presets() -> dict[str, tuple[ExperimentConfig, ...]]:
     )
     fig6 = ExperimentConfig(
         label="fig6",
-        snr_db=10.0, inr_db=30.0,
-        epochs=((1, 10),), n_snapshots=3000,
         algorithms=(
             _smcg_pidb(),
             algo("sg", "sg"),
@@ -722,8 +724,7 @@ def presets() -> dict[str, tuple[ExperimentConfig, ...]]:
     fig8 = tuple(
         ExperimentConfig(
             label=f"fig8_snr{snr:02d}",
-            snr_db=float(snr), inr_db=30.0,
-            epochs=((1, 10),), n_snapshots=3000,
+            snr_db=float(snr),
             algorithms=(_smcg_pidb(), algo("rls", "rls"), algo("mvdr", "mvdr")),
         )
         for snr in range(0, 31, 5)
@@ -732,15 +733,11 @@ def presets() -> dict[str, tuple[ExperimentConfig, ...]]:
     # 12 sources), which inflates the innovation average and with it the
     # steady bound; a smaller epsilon keeps the gate breathing after the
     # epoch switch so that the recovery is not starved of updates.
-    fig9_smcg = algo(
-        "smcg", "smcg", bound="pidb", eta=0.5,
-        epsilon=3.7e-5, varsigma=85.0, rho=0.90, r_hat_init=2450.0,
-    )
     fig9 = ExperimentConfig(
         label="fig9",
-        snr_db=10.0, inr_db=35.0,
+        inr_db=35.0,
         epochs=((1, 8), (3000, 12)), n_snapshots=6000,
-        algorithms=(fig9_smcg, algo("rls", "rls"), algo("mvdr", "mvdr")),
+        algorithms=(_smcg_pidb(epsilon=3.7e-5), algo("rls", "rls"), algo("mvdr", "mvdr")),
     )
     return {
         "fig4": (fig4,),
@@ -756,14 +753,9 @@ def preset(name: str, runs: int | None = None, master_seed: int | None = None):
     table = presets()
     if name not in table:
         raise ConfigError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
-    return with_runs_and_seed(table[name], runs, master_seed)
-
-
-def with_runs_and_seed(configs, runs: int | None = None, master_seed: int | None = None):
-    """``configs`` with ``runs`` and ``master_seed`` replaced where given."""
-    given = {"runs": runs, "master_seed": master_seed}
-    overrides = {key: value for key, value in given.items() if value is not None}
-    return tuple(replace(c, **overrides) for c in configs)
+    given = (("runs", runs), ("master_seed", master_seed))
+    overrides = {key: value for key, value in given if value is not None}
+    return tuple(replace(c, **overrides) for c in table[name])
 
 
 # --- flat key/value config files -------------------------------------------

@@ -51,10 +51,6 @@ import weakref
 
 import numpy as np
 
-LAMBDA1_MIN_DEFAULT = 0.1
-LAMBDA1_MAX_DEFAULT = 0.999
-R_HAT_INIT_DEFAULT = 1e-2
-
 # Absolute floor under which the sign-weighted ratio denominator is treated
 # as vanishing and the closed form is declared unusable.
 _DENOM_FLOOR = 1e-12
@@ -206,9 +202,9 @@ class SmCgState:
         steering: np.ndarray,
         gamma: float = 1.0,
         eta: float = 0.5,
-        lambda1_min: float = LAMBDA1_MIN_DEFAULT,
-        lambda1_max: float = LAMBDA1_MAX_DEFAULT,
-        r_hat_init: float = R_HAT_INIT_DEFAULT,
+        lambda1_min: float = 0.1,
+        lambda1_max: float = 0.999,
+        r_hat_init: float = 1e-2,
     ) -> None:
         steering = np.asarray(steering, dtype=complex)
         if steering.ndim != 1:

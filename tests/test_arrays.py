@@ -116,6 +116,32 @@ class TestScenarioValidation:
                 n_snapshots=10,
             )
 
+    @pytest.mark.parametrize(
+        "kw, match",
+        [
+            (dict(noise_power=0.0), "noise_power must be positive"),
+            (dict(n_snapshots=0), "n_snapshots must be at least 1"),
+            (dict(epochs=()), "at least one epoch is required"),
+            (dict(epochs=((1, (Source(90.0, 1.0),)), (11, (Source(90.0, 1.0),)))),
+             "epoch start index beyond n_snapshots"),
+            (dict(epochs=((1, ()),)), "epoch at 1 has no sources"),
+        ],
+        ids=["noise-power", "n-snapshots", "no-epochs", "start-beyond-end", "empty-first-epoch"],
+    )
+    def test_bad_scenario_is_named(self, kw, match):
+        base = dict(
+            geometry=ArrayGeometry(4), epochs=((1, (Source(90.0, 1.0),)),),
+            noise_power=1.0, n_snapshots=10,
+        )
+        with pytest.raises(ValueError, match=match):
+            Scenario(**{**base, **kw})
+
+    def test_geometry_bounds(self):
+        with pytest.raises(ValueError, match="n_sensors must be at least 1"):
+            ArrayGeometry(0)
+        with pytest.raises(ValueError, match="spacing_wavelengths must be positive"):
+            ArrayGeometry(4, spacing_wavelengths=0.0)
+
     def test_source_bounds(self):
         with pytest.raises(ValueError):
             Source(181.0, 1.0)

@@ -259,6 +259,12 @@ class TestConstrainedCg:
         algo.step(generate_snapshot(sc, 20, rng))
         assert algo.updated
 
+    @pytest.mark.parametrize("forgetting", [0.0, 1.5])
+    def test_validation(self, forgetting):
+        a0 = steering_vector(ArrayGeometry(4), 90.0)
+        with pytest.raises(ValueError, match=r"forgetting must lie in \(0, 1\]"):
+            ConstrainedCg(a0, forgetting=forgetting)
+
     def test_w_mirrors_internal_state(self):
         a0 = steering_vector(ArrayGeometry(4), 90.0)
         algo = ConstrainedCg(a0)

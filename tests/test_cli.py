@@ -14,6 +14,11 @@ from smcgbeam.cli import main
 from smcgbeam.harness import PRESET_NAMES, config_to_sections, preset
 
 
+SHRINK_FIG4 = [
+    "--set", "scenario.m=4", "--set", "scenario.epochs=1:3", "--set", "scenario.n_snapshots=40",
+]
+
+
 def write_ini(path, sections):
     cp = configparser.ConfigParser()
     cp.read_dict(sections)
@@ -52,6 +57,28 @@ class TestRun:
         assert rows[1][0] == "1"
         assert rows[-1][0] == "40"
         assert {r[1] for r in rows[1:]} == {"smcg", "rls", "mvdr"}
+
+    def test_set_after_runs_wins(self, tmp_path, capsys):
+        rc = main(["run", "--preset", "fig4", "--runs", "2", "--out", str(tmp_path),
+                   *SHRINK_FIG4, "--set", "run.runs=3"])
+        assert rc == 0
+        assert "fig4: 3 runs x 40 snapshots" in capsys.readouterr().out
+
+    def test_set_after_seed_wins(self, tmp_path, capsys):
+        csvs = {}
+        for name, seeding in [
+            ("both", ["--seed", "7", "--set", "run.master_seed=9"]),
+            ("seed9", ["--seed", "9"]),
+            ("seed7", ["--seed", "7"]),
+        ]:
+            out = tmp_path / name
+            rc = main(["run", "--preset", "fig4", "--runs", "1", "--out", str(out),
+                       *SHRINK_FIG4, *seeding])
+            assert rc == 0
+            csvs[name] = (out / "fig4.csv").read_bytes()
+        capsys.readouterr()
+        assert csvs["both"] == csvs["seed9"]
+        assert csvs["both"] != csvs["seed7"]
 
     def test_config_file_and_out_env_fallback(self, tmp_path, capsys, monkeypatch):
         (cfg,) = preset("fig6", runs=1)

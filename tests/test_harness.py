@@ -205,6 +205,18 @@ class TestValidation:
                 id="param-int-beyond-float-range",
             ),
             pytest.param(dict(m=16.0), r"m must be an integer, got 16\.0", id="float-for-int"),
+            pytest.param(
+                dict(epochs=((1, 3.0),)), r"epochs must be an integer, got 3\.0",
+                id="epochs-float-sources",
+            ),
+            pytest.param(
+                dict(epochs=((1.0, 3),)), r"epochs must be an integer, got 1\.0",
+                id="epochs-float-start",
+            ),
+            pytest.param(
+                dict(epochs=((True, 3),)), "epochs must be an integer, got True",
+                id="epochs-bool-start",
+            ),
         ],
     )
     def test_each_bad_field_is_named(self, kw, match):
@@ -803,6 +815,18 @@ class TestConfigFiles:
             for cfg in configs:
                 back = sections_to_config(config_to_sections(cfg))
                 assert back.digest() == cfg.digest(), cfg.label
+
+    def test_flag_round_trips(self):
+        cfg = tiny_config(algorithms=(algo("sg", "sg", normalized=False),))
+        sections = config_to_sections(cfg)
+        assert sections["algo:sg"]["normalized"] == "false"
+        assert sections_to_config(sections) == cfg
+
+    def test_flag_that_is_not_true_or_false(self):
+        with pytest.raises(
+            ConfigError, match=r"algorithms\[sg\]\.normalized must be true or false, got 'maybe'"
+        ):
+            sections_to_config({"algo:sg": {"kind": "sg", "normalized": "maybe"}})
 
     def test_algo_section_requires_kind(self):
         with pytest.raises(ConfigError, match="algo:x is missing"):

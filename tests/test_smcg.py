@@ -714,6 +714,8 @@ class TestValidation:
             SmCgState(a0, lambda1_min=0.9, lambda1_max=0.5)
         with pytest.raises(ValueError):
             SmCgState(a0, lambda1_min=0.0)
+        with pytest.raises(ValueError, match=r"lambda1_max must lie in \(0, 1\]"):
+            SmCgState(a0, lambda1_max=1.5)
 
     def test_rejects_bad_loading_and_steering(self):
         a0 = steering_vector(ArrayGeometry(4), 90.0)
@@ -723,6 +725,28 @@ class TestValidation:
             SmCgState(np.zeros(4, dtype=complex))
         with pytest.raises(ValueError):
             SmCgState(np.zeros((2, 2), dtype=complex))
+        with pytest.raises(ValueError, match="steering must be finite"):
+            SmCgState(np.array([1.0, np.inf], dtype=complex))
+
+    def test_overflowing_line_search_is_named(self):
+        state = SmCgState(steering_vector(ArrayGeometry(4), 90.0))
+        with pytest.raises(ValueError, match="line search overflows float range"):
+            state.compute_alpha(0.5, 1.0, complex(1e200, 0.0), 1.0, 1.0 + 0.0j)
+
+    def test_root_beyond_float_range_is_degenerate(self):
+        one = 1.0 + 0.0j
+        with pytest.raises(DegenerateLambdaError, match="gate condition not representable"):
+            smcg.lambda1_root(1.0, complex(1e200, 0.0), one, one, one, one, 1.0)
+
+    def test_row_staged_twice_is_refused(self):
+        a0 = steering_vector(ArrayGeometry(4), 90.0)
+        states = [SmCgState(a0), SmCgState(a0)]
+        stack = SmCgStack(states)
+        r = 3.0 * a0
+        for _ in range(2):
+            assert step(states[0], r, 0.5)
+        with pytest.raises(ValueError, match="a row was staged twice at one snapshot"):
+            stack.commit()
 
     def test_rejects_negative_delta_and_bad_snapshot(self):
         a0 = steering_vector(ArrayGeometry(4), 90.0)
