@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .smcg import SmCgState
+from .smcg import SmCgState, checked_steering
 
 
 def mvdr_weights(covariance: np.ndarray, steering: np.ndarray, gamma: float = 1.0) -> np.ndarray:
@@ -60,14 +60,12 @@ class FrostSg:
     ) -> None:
         if not step_size > 0.0:
             raise ValueError("step_size must be positive")
-        steering = np.asarray(steering, dtype=complex)
-        m = steering.size
-        norm_sq = np.vdot(steering, steering).real
+        steering, norm_sq = checked_steering(steering)
         self.steering = steering
         self.gamma = float(gamma)
         self.step_size = float(step_size)
         self.normalized = bool(normalized)
-        self._projector = np.eye(m) - np.outer(steering, steering.conj()) / norm_sq
+        self._projector = np.eye(steering.size) - np.outer(steering, steering.conj()) / norm_sq
         self._quiescent = self.gamma * steering / norm_sq
         self.w = self._quiescent.copy()
 
@@ -107,12 +105,12 @@ class ConstrainedRls:
             raise ValueError("forgetting must lie in (0, 1]")
         if not inv_init > 0.0:
             raise ValueError("inv_init must be positive")
-        steering = np.asarray(steering, dtype=complex)
+        steering, norm_sq = checked_steering(steering)
         self.steering = steering
         self.gamma = float(gamma)
         self.forgetting = float(forgetting)
         self._inv = np.eye(steering.size, dtype=complex) / inv_init
-        self.w = self.gamma * steering / np.vdot(steering, steering).real
+        self.w = self.gamma * steering / norm_sq
         # per-block buffers, grown to the longest block seen, and per-row ones
         self._invs = np.empty((0,) + self._inv.shape, dtype=complex)
         self._ws = np.empty((0, steering.size), dtype=complex)

@@ -195,6 +195,15 @@ class ExperimentConfig:
             raise ConfigError("runs must be at least 1")
         if self.master_seed < 0:
             raise ConfigError("master_seed must be non-negative")
+        try:  # NumPy refuses an array of m entries with a ValueError
+            geometry = ArrayGeometry(self.m, self.spacing_wavelengths)
+            with np.errstate(all="ignore"):  # a non-finite vector is refused below
+                a0 = steering_vector(geometry, self.desired_doa_deg)
+        except ValueError as exc:
+            raise ConfigError(f"m = {self.m!r} gives no steering vector: {exc}") from exc
+        if not np.isfinite(a0.view(float)).all():
+            what = f"spacing_wavelengths = {self.spacing_wavelengths!r}"
+            raise ConfigError(f"{what} makes the steering vector non-finite")
         if not self.epochs:
             raise ConfigError("epochs must not be empty")
         for entry in self.epochs:
@@ -227,7 +236,7 @@ class ExperimentConfig:
         if len(set(labels)) != len(labels):
             raise ConfigError("algorithms labels must be unique")
         for spec in self.algorithms:
-            _validate_params(spec, self.m, self.gamma, self.noise_power)
+            _validate_params(spec, a0, self.gamma, self.noise_power)
 
     def digest(self) -> str:
         text = repr(self)
@@ -262,7 +271,7 @@ def _parameters(where: str, kind: str, bound: str) -> tuple[dict[str, object], s
     return _KIND_PARAMETERS[kind], f"kind {kind!r}"
 
 
-def _validate_params(spec: AlgoSpec, m: int, gamma: float, noise_power: float) -> None:
+def _validate_params(spec: AlgoSpec, a0: np.ndarray, gamma: float, noise_power: float) -> None:
     where = f"algorithms[{spec.label}]"
     names, owner = _parameters(where, spec.kind, spec.get("bound", _DEFAULT_BOUND))
     for key, value in spec.params:
@@ -273,8 +282,7 @@ def _validate_params(spec: AlgoSpec, m: int, gamma: float, noise_power: float) -
     for key, default in names.items():
         if default is _REQUIRED and spec.get(key) is None:
             raise ConfigError(f"{where} {owner} needs {key}")
-    # the constructors check the ranges; any valid steering vector will do
-    a0 = np.ones(m, dtype=complex)
+    # the constructors check the ranges, on the run's steering vector
     try:
         if spec.kind == "smcg":
             _gated_filter(spec, a0, gamma, noise_power)

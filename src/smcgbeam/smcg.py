@@ -56,6 +56,20 @@ import numpy as np
 _DENOM_FLOOR = 1e-12
 
 
+def checked_steering(steering) -> tuple[np.ndarray, float]:
+    """``steering`` as a complex vector, with the squared norm the constrained
+    filters divide by; a ``ValueError`` unless it is a finite nonzero vector."""
+    steering = np.asarray(steering, dtype=complex)
+    if steering.ndim != 1:
+        raise ValueError("steering must be a vector")
+    if not np.all(np.isfinite(steering.view(float))):
+        raise ValueError("steering must be finite")
+    norm_sq = np.vdot(steering, steering).real
+    if norm_sq == 0.0:
+        raise ValueError("steering must be nonzero")
+    return steering, norm_sq
+
+
 class DegenerateLambdaError(RuntimeError):
     """The gate-boundary condition has no usable closed-form solution."""
 
@@ -206,19 +220,12 @@ class SmCgState:
         lambda1_max: float = 0.999,
         r_hat_init: float = 1e-2,
     ) -> None:
-        steering = np.asarray(steering, dtype=complex)
-        if steering.ndim != 1:
-            raise ValueError("steering must be a vector")
-        if steering.size < 2:
+        if np.ndim(steering) == 1 and np.size(steering) < 2:
             raise ValueError(
                 "steering must have at least 2 entries: one sensor leaves no "
                 "direction conjugate to p"
             )
-        if not np.all(np.isfinite(steering.view(float))):
-            raise ValueError("steering must be finite")
-        norm_sq = np.vdot(steering, steering).real
-        if norm_sq == 0.0:
-            raise ValueError("steering must be nonzero")
+        steering, norm_sq = checked_steering(steering)
         if not 0.0 <= eta <= 0.5:
             raise ValueError("eta must lie in [0, 0.5]")
         if not 0.0 < lambda1_min <= 1.0:

@@ -120,6 +120,10 @@ class TestFrostSg:
         a0 = steering_vector(ArrayGeometry(4), 90.0)
         with pytest.raises(ValueError):
             FrostSg(a0, step_size=0.0)
+        with pytest.raises(ValueError, match="steering must be nonzero"):
+            FrostSg(np.zeros(4))
+        with pytest.raises(ValueError, match="steering must be finite"):
+            FrostSg(np.array([1.0, np.nan]))
 
 
 class TestConstrainedRls:
@@ -219,6 +223,10 @@ class TestConstrainedRls:
             ConstrainedRls(a0, forgetting=0.0)
         with pytest.raises(ValueError):
             ConstrainedRls(a0, inv_init=0.0)
+        with pytest.raises(ValueError, match="steering must be nonzero"):
+            ConstrainedRls(np.zeros(4))
+        with pytest.raises(ValueError, match="steering must be finite"):
+            ConstrainedRls(np.array([1.0, np.inf]))
 
 
 class TestConstrainedCg:

@@ -38,7 +38,7 @@ class TestPdb:
         d0 = b.delta
         target = math.sqrt(vs * 1.0 * sigma2)
         for k in range(1, 40):
-            b.update(None, None, w)
+            b.update(0j, 0j, w)
             expected = rho ** k * d0 + (1.0 - rho ** k) * target
             assert b.delta == pytest.approx(expected, rel=1e-12)
 

@@ -130,6 +130,11 @@ class TestRun:
             ("run.runs=x", "run.runs must be an integer, got 'x'"),
             ("scenario.snr_db=ten", "scenario.snr_db must be a number, got 'ten'"),
             ("scenario.epochs=,", "epochs must not be empty"),
+            ("scenario.m=99999999999999999999", "m = 99999999999999999999 gives no steering"),
+            (
+                "scenario.spacing_wavelengths=1e308",
+                "spacing_wavelengths = 1e+308 makes the steering vector non-finite",
+            ),
         ],
     )
     def test_unparsable_value_exits_2_naming_it(self, tmp_path, capsys, override, message):

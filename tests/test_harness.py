@@ -217,6 +217,10 @@ class TestValidation:
                 dict(epochs=((True, 3),)), "epochs must be an integer, got True",
                 id="epochs-bool-start",
             ),
+            pytest.param(
+                dict(epochs=(1, 10)), r"epochs entry 1 is not a \(start, sources\) pair",
+                id="epochs-flat-pair",
+            ),
         ],
     )
     def test_each_bad_field_is_named(self, kw, match):

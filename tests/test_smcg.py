@@ -177,6 +177,7 @@ def test_root_matches_numpy_scalar_reference_on_every_branch():
         "zero scale", "linear", "disc < 0", "vanishing denominator",
         "no root in (0, 1]", "root in (0, 1]",
     }
+    assert same_bits(smcg._csign(0j), 1 + 0j)  # the origin, which no instance reaches
 
 
 def _state_and_bound(kind, gamma, a0, noise_power):
