@@ -101,6 +101,8 @@ def _cmd_run(args) -> int:
 def _cmd_complexity(args) -> int:
     if args.m_min < 1 or args.m_max < args.m_min or args.m_step < 1:
         raise ConfigError("require 1 <= m-min <= m-max and m-step >= 1")
+    if args.snapshots < 1:
+        raise ConfigError(f"--snapshots must be at least 1, got {args.snapshots}")
     out = Path(args.out) if args.out is not None else Path(_default_out())
     if out.suffix == ".csv" and not out.is_dir():
         path = out

@@ -201,6 +201,8 @@ class ExperimentConfig:
                 a0 = steering_vector(geometry, self.desired_doa_deg)
         except ValueError as exc:
             raise ConfigError(f"m = {self.m!r} gives no steering vector: {exc}") from exc
+        if a0.size != self.m:  # np.arange wraps an m near 2**63 to an empty range
+            raise ConfigError(f"m = {self.m!r} gives no steering vector: it has {a0.size} entries")
         if not np.isfinite(a0.view(float)).all():
             what = f"spacing_wavelengths = {self.spacing_wavelengths!r}"
             raise ConfigError(f"{what} makes the steering vector non-finite")

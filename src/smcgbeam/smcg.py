@@ -31,9 +31,11 @@ fraction of the same arithmetic on NumPy scalars. Python's products, sums,
 ``abs`` and ``** 2`` round as NumPy's scalar ones do, but its complex
 division does not: NumPy divides by Smith's method and multiplies by a
 reciprocal, and the two disagree in the last bit on about 42 % of random
-quotients. The root therefore writes NumPy's division out in floats for
-its two quotients, the complex sign and the ratio form, so that every
-lambda1 is the one the NumPy-scalar version of the update computed.
+quotients. The root therefore divides no complex numbers: it writes its
+two quotients out inline in NumPy's float operations, the complex sign (a
+division by ``|z| + 0j``, whose Smith ratio is 0) and the real part of the
+ratio form, so that every lambda1 is the one the NumPy-scalar version of
+the update computed.
 
 Filters that see the same snapshots advance together as the rows of an
 :class:`SmCgStack`. Per snapshot the stack forms every row's inner
@@ -74,32 +76,6 @@ class DegenerateLambdaError(RuntimeError):
     """The gate-boundary condition has no usable closed-form solution."""
 
 
-def _csign(z: complex) -> complex:
-    """Complex sign ``z / |z|``, defined as 1 at the origin.
-
-    NumPy's division by ``|z| + 0j`` written out: the ratio of the zero
-    imaginary part to ``|z|`` is 0, so the reciprocal is ``1 / |z|``.
-    """
-    mag = abs(z)
-    if not mag > 0.0:
-        return 1.0 + 0.0j
-    scl = 1.0 / mag
-    return complex((z.real + z.imag * 0.0) * scl, (z.imag - z.real * 0.0) * scl)
-
-
-def _real_quotient(a: complex, b: complex) -> float:
-    """Real part of ``a / b`` as NumPy's complex division rounds it.
-
-    Smith's method: divide by the larger part of ``b`` and multiply by the
-    reciprocal of the scaled denominator.
-    """
-    if abs(b.real) >= abs(b.imag):
-        rat = b.imag / b.real
-        return (a.real + a.imag * rat) * (1.0 / (b.real + b.imag * rat))
-    rat = b.real / b.imag
-    return (a.real * rat + a.imag) * (1.0 / (b.imag + b.real * rat))
-
-
 def lambda1_root(
     p_r_p: float,
     vr: complex,
@@ -122,9 +98,10 @@ def lambda1_root(
     """
     try:
         rp = pr.conjugate()
-        tau1 = delta * va * p_r_p + delta * (1.0 - eta) * gp * pa
+        damp = 1.0 - eta
+        tau1 = delta * va * p_r_p + delta * damp * gp * pa
         tau2 = vr * rp * pa
-        tau3 = vr * p_r_p + (1.0 - eta) * gp * pr
+        tau3 = vr * p_r_p + damp * gp * pr
         tau4 = vr * rp * pr
 
         # |tau3 - lam tau4|^2 = |tau1 - lam delta tau2|^2, a real quadratic.
@@ -132,38 +109,57 @@ def lambda1_root(
         qb = 2.0 * (delta * (tau1 * tau2.conjugate()).real - (tau3 * tau4.conjugate()).real)
         qc = abs(tau3) ** 2 - abs(tau1) ** 2
 
-        scale = max(abs(qa), abs(qb), abs(qc))
+        abs_qa, abs_qb = abs(qa), abs(qb)
+        scale = max(abs_qa, abs_qb, abs(qc))
         if scale == 0.0:
             raise DegenerateLambdaError("gate condition independent of lambda1")
-        if abs(qa) <= 1e-14 * scale:
-            if abs(qb) <= 1e-14 * scale:
+        if abs_qa <= 1e-14 * scale:
+            if abs_qb <= 1e-14 * scale:
                 raise DegenerateLambdaError("gate condition independent of lambda1")
-            roots = [-qc / qb]
+            lam = -qc / qb
         else:
             disc = qb * qb - 4.0 * qa * qc
             if disc < 0.0:
                 raise DegenerateLambdaError("no real solution to the gate condition")
             sq = math.sqrt(disc)
             q = -0.5 * (qb + sq) if qb >= 0.0 else -0.5 * (qb - sq)
-            roots = [q / qa, qc / q] if q != 0.0 else [0.0]
-
-        in_range = [x for x in roots if 0.0 < x <= 1.0]
-        if in_range:
-            lam = max(in_range)
-        else:
-            # keep the root nearest the admissible interval; clamping finishes the job
-            lam = min(roots, key=lambda x: abs(x - 1.0) if x > 1.0 else abs(x))
+            lam, other = (q / qa, qc / q) if q != 0.0 else (0.0, 0.0)
+            if 0.0 < other <= 1.0:  # the larger root in (0, 1]
+                if not 0.0 < lam <= 1.0 or other > lam:
+                    lam = other
+            elif not 0.0 < lam <= 1.0 and (other - 1.0 if other > 1.0 else abs(other)) < (
+                lam - 1.0 if lam > 1.0 else abs(lam)
+            ):  # neither: the root nearest (0, 1], the first on a tie; the clamp does the rest
+                lam = other
 
         # Sign-weighted ratio form evaluated at the solution; exactness of the
         # root makes the ratio real, and a vanishing denominator flags a
-        # boundary condition the closed form cannot express.
-        s_a = _csign(tau1 - lam * delta * tau2).conjugate()
-        s_r = _csign(tau3 - lam * tau4).conjugate()
+        # boundary condition the closed form cannot express. The signs
+        # conj(z / |z|), 1 at the origin, and the ratio divide as NumPy does.
+        z = tau1 - lam * delta * tau2
+        mag = abs(z)
+        if mag > 0.0:
+            scl = 1.0 / mag
+            s_a = complex((z.real + z.imag * 0.0) * scl, -((z.imag - z.real * 0.0) * scl))
+        else:
+            s_a = complex(1.0, -0.0)
+        z = tau3 - lam * tau4
+        mag = abs(z)
+        if mag > 0.0:
+            scl = 1.0 / mag
+            s_r = complex((z.real + z.imag * 0.0) * scl, -((z.imag - z.real * 0.0) * scl))
+        else:
+            s_r = complex(1.0, -0.0)
         num = tau1 * s_a - tau3 * s_r
         den = delta * tau2 * s_a - tau4 * s_r
         if abs(den) < _DENOM_FLOOR:
             raise DegenerateLambdaError("vanishing denominator in the ratio form")
-        return _real_quotient(num, den)
+        dr, di = den.real, den.imag
+        if abs(dr) >= abs(di):
+            rat = di / dr
+            return (num.real + num.imag * rat) * (1.0 / (dr + di * rat))
+        rat = dr / di
+        return (num.real * rat + num.imag) * (1.0 / (di + dr * rat))
     except (OverflowError, ZeroDivisionError) as exc:
         # a term beyond float range, or a not-a-number denominator
         raise DegenerateLambdaError(f"gate condition not representable: {exc}") from exc
@@ -369,7 +365,9 @@ class SmCgStack:
         self._single = len(states) == 1
         self._solves = states[0].lambda1_min < states[0].lambda1_max
         self._snapshot = self._forms = None
-        self._staged: list[tuple[int, float, float, complex]] = []
+        # by row, the staged lambda1, alpha and lambda1 r^H v; and the rows staged
+        self._stage = np.zeros((3, len(states)), dtype=complex)
+        self._staged: list[int] = []
         for row, state in enumerate(states):
             state._join(self, row)
 
@@ -415,7 +413,11 @@ class SmCgStack:
         if self._single:
             self._apply(None, lam, alpha, lam * rv)
         else:
-            self._staged.append((row, lam, alpha, rv))
+            stage = self._stage  # a float is stored as (x, +0), as np.array makes it
+            stage[0, row] = lam
+            stage[1, row] = alpha
+            stage[2, row] = lam * rv
+            self._staged.append(row)
 
     def commit(self) -> None:
         """Apply every update staged at the current snapshot.
@@ -426,15 +428,12 @@ class SmCgStack:
         """
         if not self._staged:
             return
-        staged, self._staged = sorted(self._staged, key=lambda s: s[0]), []
-        rows, lams, alphas, rvs = (list(col) for col in zip(*staged))
-        if rows[-1] + 1 - rows[0] < len(rows):
+        rows, self._staged = sorted(self._staged), []
+        lo, hi = rows[0], rows[-1] + 1
+        if hi - lo < len(rows):
             raise ValueError("a row was staged twice at one snapshot")
-        self._apply(
-            rows, np.array(lams, dtype=complex)[:, None, None],
-            np.array(alphas, dtype=complex)[:, None],
-            np.array([lam * rv for lam, rv in zip(lams, rvs)])[:, None],
-        )
+        cols = self._stage[:, lo:hi] if hi - lo == len(rows) else self._stage[:, rows]
+        self._apply(rows, cols[0, :, None, None], cols[1, :, None], cols[2, :, None])
 
     def _apply(self, rows, lam, alpha, lam_rv) -> None:
         """The recursion of one update, on the rows listed in order in ``rows``.

@@ -5,14 +5,16 @@ adaptive forgetting factor from scratch and finds its roots numerically, so
 the closed form in the package can be checked against an independent path.
 """
 
+import math
+
 import numpy as np
 
 from smcgbeam.arrays import epoch_index, steering_vector
 from smcgbeam.smcg import DegenerateLambdaError, lambda1_root
 
 
-def lambda1_root_of(v, g, p, r_hat, a0, r, delta, eta):
-    """The package's closed form on the inner products of the given vectors."""
+def lambda1_root_of(v, g, p, r_hat, a0, r, delta, eta, root=lambda1_root):
+    """The package's closed form, or ``root``, on the inner products of the given vectors."""
     forms = (
         float(np.vdot(p, r_hat @ p).real),
         complex(np.vdot(v, r)),
@@ -21,7 +23,7 @@ def lambda1_root_of(v, g, p, r_hat, a0, r, delta, eta):
         complex(np.vdot(p, r)),
         complex(np.vdot(p, a0)),
     )
-    return lambda1_root(*forms, delta, eta)
+    return root(*forms, delta, eta)
 
 
 def boundary_taus(v, g, p, r_hat, a0, r, delta, eta):
@@ -169,6 +171,107 @@ def lambda1_root_reference(v, g, p, r_hat, steering, r, delta, eta=0.5):
     if abs(den) < _DENOM_FLOOR:
         raise DegenerateLambdaError("vanishing denominator in the ratio form")
     return float((num / den).real)
+
+
+# --- the closed form as first written in Python floats ----------------------
+#
+# The package's root before it became one straight-line body, copied as it
+# was: a complex-sign and a quotient helper, lists of candidate roots and a
+# keyed ``min``. The package must match it bit for bit, exceptions included.
+
+def _csign(z: complex) -> complex:
+    """Complex sign ``z / |z|``, defined as 1 at the origin.
+
+    NumPy's division by ``|z| + 0j`` written out: the ratio of the zero
+    imaginary part to ``|z|`` is 0, so the reciprocal is ``1 / |z|``.
+    """
+    mag = abs(z)
+    if not mag > 0.0:
+        return 1.0 + 0.0j
+    scl = 1.0 / mag
+    return complex((z.real + z.imag * 0.0) * scl, (z.imag - z.real * 0.0) * scl)
+
+
+def _real_quotient(a: complex, b: complex) -> float:
+    """Real part of ``a / b`` as NumPy's complex division rounds it.
+
+    Smith's method: divide by the larger part of ``b`` and multiply by the
+    reciprocal of the scaled denominator.
+    """
+    if abs(b.real) >= abs(b.imag):
+        rat = b.imag / b.real
+        return (a.real + a.imag * rat) * (1.0 / (b.real + b.imag * rat))
+    rat = b.real / b.imag
+    return (a.real * rat + a.imag) * (1.0 / (b.imag + b.real * rat))
+
+
+def lambda1_root_seed(
+    p_r_p: float,
+    vr: complex,
+    va: complex,
+    gp: complex,
+    pr: complex,
+    pa: complex,
+    delta: float,
+    eta: float = 0.5,
+) -> float:
+    """Unclamped forgetting factor meeting the gate-boundary condition.
+
+    Takes the inner products of the pre-update state as Python numbers:
+    ``Re p^H R p``, ``v^H r``, ``v^H a0``, ``g^H p``, ``p^H r`` and
+    ``p^H a0``. The pre-update covariance estimate breaks the circular
+    dependence between the forgetting factor and the covariance it scales.
+    Raises :class:`DegenerateLambdaError` when the boundary condition has no
+    real solution, the ratio denominator vanishes, or its terms leave the
+    float range.
+    """
+    try:
+        rp = pr.conjugate()
+        tau1 = delta * va * p_r_p + delta * (1.0 - eta) * gp * pa
+        tau2 = vr * rp * pa
+        tau3 = vr * p_r_p + (1.0 - eta) * gp * pr
+        tau4 = vr * rp * pr
+
+        # |tau3 - lam tau4|^2 = |tau1 - lam delta tau2|^2, a real quadratic.
+        qa = abs(tau4) ** 2 - delta ** 2 * abs(tau2) ** 2
+        qb = 2.0 * (delta * (tau1 * tau2.conjugate()).real - (tau3 * tau4.conjugate()).real)
+        qc = abs(tau3) ** 2 - abs(tau1) ** 2
+
+        scale = max(abs(qa), abs(qb), abs(qc))
+        if scale == 0.0:
+            raise DegenerateLambdaError("gate condition independent of lambda1")
+        if abs(qa) <= 1e-14 * scale:
+            if abs(qb) <= 1e-14 * scale:
+                raise DegenerateLambdaError("gate condition independent of lambda1")
+            roots = [-qc / qb]
+        else:
+            disc = qb * qb - 4.0 * qa * qc
+            if disc < 0.0:
+                raise DegenerateLambdaError("no real solution to the gate condition")
+            sq = math.sqrt(disc)
+            q = -0.5 * (qb + sq) if qb >= 0.0 else -0.5 * (qb - sq)
+            roots = [q / qa, qc / q] if q != 0.0 else [0.0]
+
+        in_range = [x for x in roots if 0.0 < x <= 1.0]
+        if in_range:
+            lam = max(in_range)
+        else:
+            # keep the root nearest the admissible interval; clamping finishes the job
+            lam = min(roots, key=lambda x: abs(x - 1.0) if x > 1.0 else abs(x))
+
+        # Sign-weighted ratio form evaluated at the solution; exactness of the
+        # root makes the ratio real, and a vanishing denominator flags a
+        # boundary condition the closed form cannot express.
+        s_a = _csign(tau1 - lam * delta * tau2).conjugate()
+        s_r = _csign(tau3 - lam * tau4).conjugate()
+        num = tau1 * s_a - tau3 * s_r
+        den = delta * tau2 * s_a - tau4 * s_r
+        if abs(den) < _DENOM_FLOOR:
+            raise DegenerateLambdaError("vanishing denominator in the ratio form")
+        return _real_quotient(num, den)
+    except (OverflowError, ZeroDivisionError) as exc:
+        # a term beyond float range, or a not-a-number denominator
+        raise DegenerateLambdaError(f"gate condition not representable: {exc}") from exc
 
 
 def root_branch(v, g, p, r_hat, a0, r, delta, eta):

@@ -131,6 +131,7 @@ class TestRun:
             ("scenario.snr_db=ten", "scenario.snr_db must be a number, got 'ten'"),
             ("scenario.epochs=,", "epochs must not be empty"),
             ("scenario.m=99999999999999999999", "m = 99999999999999999999 gives no steering"),
+            ("scenario.m=9223372036854775807", "m = 9223372036854775807 gives no steering"),
             (
                 "scenario.spacing_wavelengths=1e308",
                 "spacing_wavelengths = 1e+308 makes the steering vector non-finite",
@@ -147,6 +148,19 @@ class TestRun:
         assert rc == 2
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "fig4.csv").exists()
+
+    def test_config_file_with_an_m_near_2_to_the_63_exits_2_naming_it(self, tmp_path, capsys):
+        sections = {
+            "run": {"label": "bigm", "runs": "1"},
+            "scenario": {"m": str(2**63 - 1), "epochs": "1:3", "n_snapshots": "20"},
+            "algo:mvdr": {"kind": "mvdr"},
+        }
+        ini = tmp_path / "bigm.ini"
+        write_ini(ini, sections)
+        rc = main(["run", "--config", str(ini), "--out", str(tmp_path)])
+        assert rc == 2
+        assert f"error: m = {2**63 - 1} gives no steering vector" in capsys.readouterr().err
+        assert not (tmp_path / "bigm.csv").exists()
 
     def test_one_sensor_exits_2_naming_the_entry(self, tmp_path, capsys):
         rc = main(
@@ -263,3 +277,9 @@ class TestComplexity:
         )
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_no_snapshots_exits_2_naming_it(self, tmp_path, capsys):
+        rc = main(["complexity", "--snapshots", "0", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "error: --snapshots must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "complexity.csv").exists()

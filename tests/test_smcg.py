@@ -1,6 +1,7 @@
 """Gated conjugate-gradient state machine: invariants and the closed-form
 forgetting factor against an independent bisection root finder."""
 
+import dataclasses
 from collections import Counter
 from types import SimpleNamespace
 
@@ -16,6 +17,7 @@ from reference import (
     lambda1_reference,
     lambda1_root_of,
     lambda1_root_reference,
+    lambda1_root_seed,
     random_instance,
     root_branch,
     update_reference,
@@ -32,7 +34,7 @@ from smcgbeam.arrays import (
     steering_vector,
 )
 from smcgbeam.bounds import FixedBound, PdbBound, PidbBound
-from smcgbeam.harness import ExperimentConfig, algo, run_experiment
+from smcgbeam.harness import ExperimentConfig, algo, preset, run_experiment
 from smcgbeam.metrics import sinr_linear
 from smcgbeam.smcg import DegenerateLambdaError, SmCgStack, SmCgState
 
@@ -170,6 +172,8 @@ def test_root_matches_numpy_scalar_reference_on_every_branch():
         got = outcome(lambda: lambda1_root_of(*inst))
         want = outcome(lambda: lambda1_root_reference(*inst))
         assert same_outcome(got, want), (got, want)
+        seed = outcome(lambda: lambda1_root_of(*inst, root=lambda1_root_seed))
+        assert same_outcome(got, seed), (got, seed)
         branches.add(root_branch(*inst))
         if want[0] == "raised" and want[2] == "vanishing denominator in the ratio form":
             branches.add("vanishing denominator")
@@ -177,7 +181,57 @@ def test_root_matches_numpy_scalar_reference_on_every_branch():
         "zero scale", "linear", "disc < 0", "vanishing denominator",
         "no root in (0, 1]", "root in (0, 1]",
     }
-    assert same_bits(smcg._csign(0j), 1 + 0j)  # the origin, which no instance reaches
+    # both signs at the origin, which no instance reaches
+    assert same_bits(smcg.lambda1_root(1.0, 1 + 0j, 0j, 0j, 1 + 0j, 0j, 1.0), 1.0)
+
+
+def _forms(s, t, va):
+    """Root arguments whose boundary condition is ``|1 - lam s^2| = |va - lam s t|``
+    for real ``s``, ``t`` and ``va``: its roots are ``(1 -+ va) / (s (s -+ t))``."""
+    return 1.0, 1 + 0j, complex(va), 0j, complex(s), complex(t), 1.0
+
+
+@pytest.mark.parametrize(
+    "forms, chosen",
+    [  # the two roots in the order the closed form computes them, then the one it keeps
+        (_forms(1.0, 2.0, 1.5), 5 / 6),  # both in (0, 1]: 5/6 and 1/2, the larger
+        # both in (0, 1], a double root whose second rounds one ulp above the first
+        (
+            _forms(1.2286911593615741, 0.004309301350954322, 0.003507229069014729),
+            0.6623911678895934,
+        ),
+        (_forms(1.0, 1.5, 0.75), 0.7),  # only the first: 0.7 and -0.5
+        (_forms(1.0, -1.25, -0.5), 2 / 3),  # only the second: -2 and 2/3
+        (_forms(1.0, 0.25, 3.0), 3.2),  # neither, the nearer above 1: 3.2 and -8/3
+        (_forms(1.0, -1.25, 1.5), -2 / 9),  # neither, the nearer below 0: -10 and -2/9
+        (_forms(1.0, -1.25, 1.0), 0.0),  # neither, the nearer at 0: -8 and 0
+        (_forms(1.0, -0.5, -1.25), 1.5),  # an exact tie: 1.5 and -0.5, the first
+        ((1.0, 3 + 4j, 5 + 0j, 0j, 3 + 0j, 5 + 0j, 1.0), 0.0),  # q == 0: the root 0
+    ],
+)
+def test_root_selection_matches_the_seed_closed_form(forms, chosen):
+    got = outcome(lambda: smcg.lambda1_root(*forms))
+    assert same_outcome(got, outcome(lambda: lambda1_root_seed(*forms)))
+    assert got[1] == pytest.approx(chosen, abs=1e-15)
+
+
+def test_root_matches_the_seed_closed_form_on_every_fig5_solve(monkeypatch):
+    solves, root = [], smcg.lambda1_root
+
+    def recording(*args):
+        solves.append(args)
+        return root(*args)
+
+    monkeypatch.setattr(smcg, "lambda1_root", recording)
+    (cfg,) = preset("fig5")
+    run_experiment(dataclasses.replace(cfg, runs=1, n_snapshots=300))
+    outcomes = [
+        (outcome(lambda: root(*args)), outcome(lambda: lambda1_root_seed(*args)))
+        for args in solves
+    ]
+    assert all(same_outcome(got, want) for got, want in outcomes)
+    assert len(solves) > 1000
+    assert any(want[0] == "raised" for _, want in outcomes)  # degenerate solves included
 
 
 def _state_and_bound(kind, gamma, a0, noise_power):
