@@ -28,8 +28,8 @@ advance through the block in roster order: one per SG, CG (a step per
 snapshot), RLS (one call) or MVDR entry, and, where the first gated
 (``smcg``) entry stands, one for all of them as the rows of one
 ``SmCgStack``: per snapshot each row's bound is refreshed and its gate
-tested, and the rows that accept are committed with one set of NumPy
-calls, bit for bit as each would be alone.
+tested, and the rows that accept are staged once and updated in place,
+a run of adjacent rows per slice, bit for bit as each would be alone.
 
 Right after each runner, its entries' per-snapshot SINR is evaluated on
 the analytic epoch covariances; a run that diverges stops in that block,
@@ -189,10 +189,14 @@ class ExperimentConfig:
         span_hi = self.desired_doa_deg + self.doa_guard_deg
         if span_lo <= self.doa_min_deg and span_hi >= self.doa_max_deg:
             raise ConfigError("doa_guard_deg excludes the whole interferer interval")
-        if self.n_snapshots < 1:
-            raise ConfigError("n_snapshots must be at least 1")
-        if self.runs < 1:
-            raise ConfigError("runs must be at least 1")
+        for name in ("n_snapshots", "runs"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ConfigError(f"{name} must be at least 1")
+            try:  # the engine keeps a float per roster entry and snapshot, and per run
+                np.empty((len(self.algorithms) or 1, value))
+            except (ValueError, MemoryError) as exc:
+                raise ConfigError(f"{name} = {value!r} is too large: {exc}") from exc
         if self.master_seed < 0:
             raise ConfigError("master_seed must be non-negative")
         try:  # NumPy refuses an array of m entries with a ValueError
@@ -398,15 +402,16 @@ class _GatedStack:
     the rows of one :class:`SmCgStack`.
 
     Per snapshot every row's policy is refreshed and its state stepped, in
-    roster order, and the rows that accepted are committed together.
-    ``w^H r`` is formed for all rows with one ``vecdot``, which rounds each
-    row as ``vdot``: one snapshot at a time right after an update, and
-    after a streak of ``s`` snapshots that no row accepted, for the next
-    ``4^s`` (up to the end of the block). A gate that alternates then forms
-    few outputs it does not read, and a closed gate forms the rest of the
-    block after its fifth rejection. A ``ValueError`` out of a step or an
-    ``OverflowError`` out of a bound refresh or a gate fails, naming the
-    row's entry. A stack of one commits inside ``step``.
+    roster order, and the rows that accepted, each staged once, are
+    committed in place. ``w^H r`` is formed for all rows with one
+    ``vecdot``, which rounds each row as ``vdot``: one snapshot at a time
+    right after an update, and after a streak of ``s`` snapshots that no
+    row accepted, for the next ``4^s`` (up to the end of the block). A gate
+    that alternates then forms few outputs it does not read, and a closed
+    gate forms the rest of the block after its fifth rejection. A
+    ``ValueError`` out of a step or an ``OverflowError`` out of a bound
+    refresh or a gate fails, naming the row's entry. A stack of one commits
+    inside ``step``.
     """
 
     def __init__(self, roster, specs, a0: np.ndarray, gamma: float, noise_power: float) -> None:

@@ -25,27 +25,24 @@ def sinr_linear(
 
     ``w`` may also hold one weight vector per row. The result is then an
     array that equals the call on each row bit for bit, with nan where that
-    call would raise or the row is not finite. Each quadratic form is then
-    a stack of matrix-vector products reduced by ``vecdot``, which runs the
+    call would raise or the row is not finite. Each quadratic form is a
+    stack of matrix-vector products reduced by ``vecdot``, which runs the
     same kernels as ``C @ w`` and ``vdot``; one matrix-matrix product would
-    round differently.
+    round differently. One vector is the row form on ``w[None]``.
     """
-    if np.ndim(w) == 2:
-        out = np.full(len(w), np.nan)
-        finite = np.flatnonzero(np.isfinite(w).all(axis=1))
-        w = w[finite]
-        num = np.vecdot(w, (desired_cov @ w[..., None])[..., 0]).real
-        den = np.vecdot(w, (intnoise_cov @ w[..., None])[..., 0]).real
-        positive = den > 0.0
-        ratio = num[positive] / den[positive]
-        out[finite[positive]] = np.where(ratio > _SINR_FLOOR_LINEAR, ratio, _SINR_FLOOR_LINEAR)
-        return out
-    num = np.vdot(w, desired_cov @ w).real
-    den = np.vdot(w, intnoise_cov @ w).real
-    if not den > 0.0:
+    rows = np.ndim(w) == 2
+    w = w if rows else np.asarray(w)[None]
+    out = np.full(len(w), np.nan)
+    finite = np.flatnonzero(np.isfinite(w).all(axis=1))
+    w = w[finite]
+    num = np.vecdot(w, (desired_cov @ w[..., None])[..., 0]).real
+    den = np.vecdot(w, (intnoise_cov @ w[..., None])[..., 0]).real
+    positive = den > 0.0
+    ratio = num[positive] / den[positive]
+    out[finite[positive]] = np.where(ratio > _SINR_FLOOR_LINEAR, ratio, _SINR_FLOOR_LINEAR)
+    if not rows and np.isnan(out[0]):
         raise ValueError("interference-plus-noise output power must be positive")
-    ratio = num / den
-    return ratio if ratio > _SINR_FLOOR_LINEAR else _SINR_FLOOR_LINEAR
+    return out if rows else out[0]
 
 
 def constraint_error_rows(w_rows: np.ndarray, steering: np.ndarray, gamma: float) -> np.ndarray:

@@ -40,10 +40,10 @@ the update computed.
 Filters that see the same snapshots advance together as the rows of an
 :class:`SmCgStack`. Per snapshot the stack forms every row's inner
 products with one set of stacked NumPy calls, each accepting row solves
-its own lambda1 and alpha, and one set of calls commits all of them. The
-stacked forms round as the per-filter ones, so a row ends each snapshot
-bit for bit as the filter would alone; a filter built on its own is a
-stack of one.
+its own lambda1 and alpha, and the stack commits them in place, each run
+of adjacent rows with one set of calls. The stacked forms round as the
+per-filter ones, so a row ends each snapshot bit for bit as the filter
+would alone; a filter built on its own is a stack of one.
 """
 
 from __future__ import annotations
@@ -303,8 +303,8 @@ class SmCgState:
         An update solves lambda1 and alpha on the inner products its stack
         forms once per snapshot (``r^H v`` as the conjugate of ``v^H r``,
         and ``Re p^H g`` as ``Re g^H p``, which round alike), then hands
-        them to the stack, which commits it with the other rows that
-        accept the snapshot.
+        them to the stack, which commits it with the other rows that accept
+        the snapshot; a second update there is refused before it is counted.
         """
         if delta < 0.0:
             raise ValueError("delta must be non-negative")
@@ -320,8 +320,8 @@ class SmCgState:
         p_r_p, vr, gp, pr, _, _ = stack.forms(r)[self._row]
         rv = vr.conjugate()
         alpha = self.compute_alpha(lam, p_r_p, pr, gp.real, rv)
-        self.update_count += 1
         stack.stage(self._row, lam, alpha, rv)
+        self.update_count += 1
         return self
 
 
@@ -332,20 +332,20 @@ class SmCgStack:
     ``(B, m)``; each :class:`SmCgState` reads and writes its own row. All
     rows step on the same snapshot ``r``: the first row that accepts it
     forms the inner products of every row at once (:meth:`forms`), each
-    accepting row solves its own lambda1 and alpha in Python numbers, and
-    :meth:`commit` then applies every staged update with one set of NumPy
-    calls. A stack of one commits as its row stages, so its :meth:`commit`
-    returns at once.
+    accepting row solves its own lambda1 and alpha in Python numbers and
+    stages them once, and :meth:`commit` updates the staged rows in place,
+    a run of adjacent rows through one slice. A stack of one commits as its
+    row stages, so its :meth:`commit` returns at once.
 
     The stacked forms round as the per-filter ones: a stacked ``matvec``
-    and ``vecdot`` equal ``R @ p`` and ``vdot`` row by row, a ``(B, 1)``
-    real or complex column times ``(B, m)`` equals a scalar times each
+    and ``vecdot`` equal ``R @ p`` and ``vdot`` row by row, a ``(k, 1)``
+    real or complex column times ``(k, m)`` equals a scalar times each
     row, and an array division equals NumPy's scalar division. So every
     row ends each snapshot as it would have alone.
 
-    ``w`` is rebound by every commit that changes it and never written in
-    place, so the weights a row held stay valid. The stack holds its
-    states weakly; the caller keeps them.
+    ``w`` is rebound by every commit and never written in place, so the
+    weights a row held stay valid. The stack holds its states weakly; the
+    caller keeps them.
     """
 
     def __init__(self, states) -> None:
@@ -371,91 +371,97 @@ class SmCgStack:
         for row, state in enumerate(states):
             state._join(self, row)
 
-    def products(self, r: np.ndarray) -> list[tuple]:
-        """Per row, the inner products an update reads, as Python numbers.
+    def forms(self, r: np.ndarray) -> list[tuple]:
+        """Per row, the inner products an update reads at snapshot ``r``, as
+        Python numbers, formed once until the next commit.
 
         ``(Re p^H R p, v^H r, g^H p, p^H r, v^H a0, p^H a0)``; the last two,
         which only a root reads, are ``None`` for a lone filter whose clamp
         pins lambda1. One row forms them on its own views with ``vdot``, as a
         lone filter does; several with one stacked call per product.
         """
+        if self._snapshot is r:
+            return self._forms
         if self._single:
             state = self._states[0]()
             p, v, a0 = state._p, state._v, state.steering
-            forms = (
+            forms = [(
                 float(np.vdot(p, np.matvec(state._r_hat, p)).real),
                 complex(np.vdot(v, r)),
                 complex(np.vdot(state._g, p)),
                 complex(np.vdot(p, r)),
-            )
-            if self._solves:
-                return [forms + (complex(np.vdot(v, a0)), complex(np.vdot(p, a0)))]
-            return [forms + (None, None)]
-        p = self.p
-        p_r_p = np.vecdot(p, np.matvec(self.r_hat, p)).real.tolist()
-        vr, pr = np.vecdot(self._vp, r).tolist()
-        gp = np.vecdot(self.g, p).tolist()
-        va, pa = np.vecdot(self._vp, self.steering).tolist()
-        return list(zip(p_r_p, vr, gp, pr, va, pa))
-
-    def forms(self, r: np.ndarray) -> list[tuple]:
-        """:meth:`products` at snapshot ``r``, formed once until the next commit."""
-        if self._snapshot is not r:
-            self._snapshot, self._forms = r, self.products(r)
-        return self._forms
+                complex(np.vdot(v, a0)) if self._solves else None,
+                complex(np.vdot(p, a0)) if self._solves else None,
+            )]
+        else:
+            p = self.p
+            p_r_p = np.vecdot(p, np.matvec(self.r_hat, p)).real.tolist()
+            vr, pr = np.vecdot(self._vp, r).tolist()
+            gp = np.vecdot(self.g, p).tolist()
+            va, pa = np.vecdot(self._vp, self.steering).tolist()
+            forms = list(zip(p_r_p, vr, gp, pr, va, pa))
+        self._snapshot, self._forms = r, forms
+        return forms
 
     def stage(self, row: int, lam: float, alpha: float, rv: complex) -> None:
         """Queue row ``row``'s update at the snapshot of :meth:`forms`.
 
-        Takes the clamped lambda1, the step alpha and ``r^H v``. A stack of
-        one commits the update at once.
+        Takes the clamped lambda1, the step alpha and ``r^H v``. A row is
+        staged at most once per snapshot: staging it again raises
+        ``ValueError`` naming the row and leaves what was staged as it was.
+        A stack of one commits the update at once.
         """
         if self._single:
-            self._apply(None, lam, alpha, lam * rv)
-        else:
-            stage = self._stage  # a float is stored as (x, +0), as np.array makes it
-            stage[0, row] = lam
-            stage[1, row] = alpha
-            stage[2, row] = lam * rv
-            self._staged.append(row)
+            r, self._snapshot, self._forms = self._snapshot, None, None
+            self._apply(r, 0, 1, lam, alpha, lam * rv)
+            return
+        if row in self._staged:
+            raise ValueError(f"a row was staged twice at one snapshot: row {row}")
+        stage = self._stage  # a float is stored as (x, +0), as np.array makes it
+        stage[0, row] = lam
+        stage[1, row] = alpha
+        stage[2, row] = lam * rv
+        self._staged.append(row)
 
     def commit(self) -> None:
-        """Apply every update staged at the current snapshot.
+        """Apply every update staged at the current snapshot, in place.
 
-        A contiguous span of rows, all of them included, is updated in place
-        through a slice; any other set of rows is gathered and written back.
-        A stack of one has committed already.
+        Each run of adjacent staged rows is updated through one slice of
+        the stack's arrays. ``w`` is rebound to a copy holding the new
+        weights, which a row whose ``a0^H v`` is zero does without. A stack
+        of one has committed already.
         """
         if not self._staged:
             return
         rows, self._staged = sorted(self._staged), []
-        lo, hi = rows[0], rows[-1] + 1
-        if hi - lo < len(rows):
-            raise ValueError("a row was staged twice at one snapshot")
-        cols = self._stage[:, lo:hi] if hi - lo == len(rows) else self._stage[:, rows]
-        self._apply(rows, cols[0, :, None, None], cols[1, :, None], cols[2, :, None])
+        r, self._snapshot, self._forms = self._snapshot, None, None
+        w = self.w.copy()
+        for lo, hi in _runs(rows):
+            cols = self._stage[:, lo:hi]
+            av = self._apply(r, lo, hi, cols[0, :, None, None], cols[1, :, None], cols[2, :, None])
+            for a, b in _runs([row for row, x in enumerate(av.tolist(), lo) if x != 0.0]):
+                np.divide(self.gamma[a:b] * self.v[a:b], av[a - lo:b - lo, None], out=w[a:b])
+                for row in range(a, b):
+                    self._states[row]().w = w[row]
+        self.w = w
 
-    def _apply(self, rows, lam, alpha, lam_rv) -> None:
-        """The recursion of one update, on the rows listed in order in ``rows``.
+    def _apply(self, r, lo, hi, lam, alpha, lam_rv):
+        """The recursion of one update at snapshot ``r`` on rows ``lo:hi``,
+        in place; returns their ``a0^H v``.
 
         ``lam``, ``alpha`` and ``lam_rv`` (lambda1 times ``r^H v``) are
-        columns with one entry per row. A stack of one (``rows`` is
-        ``None``) is updated on its row's views, with ``vdot`` and Python
-        scalars, as a lone filter is. Every operation keeps the operand
-        order of the single-filter recursion.
+        columns with one entry per row. A stack of one is updated on its
+        row's views, with ``vdot`` and Python scalars, as a lone filter is,
+        and sets its ``w`` here. Every operation keeps the operand order of
+        the single-filter recursion.
         """
-        r = self._snapshot
-        self._snapshot = self._forms = None
-        single = rows is None
-        if single:
+        if self._single:
             state = self._states[0]()
             r_hat, v, g, p = state._r_hat, state._v, state._g, state._p
-            a0, gamma, dot = state.steering, state.gamma, np.vdot
+            a0, dot = state.steering, np.vdot
         else:
-            lo, hi = rows[0], rows[-1] + 1
-            sel = slice(lo, hi) if hi - lo == len(rows) else rows
-            fields = (self.r_hat, self.v, self.g, self.p, self.steering, self.gamma)
-            r_hat, v, g, p, a0, gamma = [x[sel] for x in fields]
+            fields = (self.r_hat, self.v, self.g, self.p, self.steering)
+            r_hat, v, g, p, a0 = [x[lo:hi] for x in fields]
             dot = np.vecdot
         r_hat += lam * (r[:, None] * r.conj())
         rp = np.matvec(r_hat, p)
@@ -464,31 +470,22 @@ class SmCgStack:
         g -= lam_rv * r
         beta = -dot(p, np.matvec(r_hat, g))
         beta /= dot(p, rp).real
-        np.multiply(beta if single else beta[:, None], p, out=p)
+        np.multiply(beta if self._single else beta[:, None], p, out=p)
         np.add(g, p, out=p)
         av = dot(a0, v)
-
         # a row whose v lost the constrained component keeps its feasible w
-        if single:
-            if av != 0.0:
-                state.w = gamma * v / av
-                self.w = state.w[None]
-            return
-        if isinstance(sel, list):  # gathered rows are copies
-            self.r_hat[sel], self.v[sel], self.g[sel], self.p[sel] = r_hat, v, g, p
-        avs = av.tolist()
-        if 0.0 in avs:
-            kept = [i for i, x in enumerate(avs) if x != 0.0]
-            if not kept:
-                return
-            rows = [rows[i] for i in kept]
-            gamma, v, av = gamma[kept], v[kept], av[kept]
-        w = gamma * v / av[:, None]
-        lo, hi = rows[0], rows[-1] + 1
-        if len(rows) == len(self.w):
-            self.w = w
+        if self._single and av != 0.0:
+            state.w = state.gamma * v / av
+            self.w = state.w[None]
+        return av
+
+
+def _runs(rows: list[int]) -> list[list[int]]:
+    """``[lo, hi]`` of each run of adjacent entries of the ascending ``rows``."""
+    runs: list[list[int]] = []
+    for row in rows:
+        if runs and runs[-1][1] == row:
+            runs[-1][1] += 1
         else:
-            self.w = self.w.copy()
-            self.w[slice(lo, hi) if hi - lo == len(rows) else rows] = w
-        for row in rows:
-            self._states[row]().w = self.w[row]
+            runs.append([row, row + 1])
+    return runs

@@ -6,9 +6,19 @@ Everything goes through ``main(argv)`` directly; presets are shrunk with
 
 import configparser
 import csv
+import io
+import math
+import re
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from datetime import timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smcgbeam.cli import main
 from smcgbeam.harness import PRESET_NAMES, config_to_sections, preset
@@ -136,6 +146,11 @@ class TestRun:
                 "scenario.spacing_wavelengths=1e308",
                 "spacing_wavelengths = 1e+308 makes the steering vector non-finite",
             ),
+            (
+                "scenario.n_snapshots=100000000000000000000",
+                "n_snapshots = 100000000000000000000 is too large",
+            ),
+            ("run.runs=100000000000000000000", "runs = 100000000000000000000 is too large"),
         ],
     )
     def test_unparsable_value_exits_2_naming_it(self, tmp_path, capsys, override, message):
@@ -235,6 +250,65 @@ class TestRun:
         ) in err
         assert "Traceback" not in err
         assert not (tmp_path / f"{name}.csv").exists()
+
+
+# Extreme override values: the finite numbers, then the rest.
+NUMBERS = ("0", "-1", "5e-324", "1e308", str(10**20))
+EXTREMES = NUMBERS + (
+    "nan", "inf", "x", "", ",", "1:", "0:3", "1:3,", "1:3:1", "1:3,1:2", "1:99", "1:3,2:x",
+)
+DIVERGED = re.compile(r"^error: run \d+: .+ for algorithm '.+' at snapshot \d+$", re.M)
+
+
+@st.composite
+def cut_presets_with_extremes(draw):
+    """``run --preset`` argv for fig4, fig5, fig6 or fig9, cut to 1 run of
+    20-300 snapshots at 12-16 sensors (fig9's scene change moved to the
+    middle), then 1-3 ``--set`` overrides of distinct keys of the preset,
+    each value drawn from ``EXTREMES``; and the keys set."""
+    name = draw(st.sampled_from(("fig4", "fig5", "fig6", "fig9")))
+    m, n = draw(st.integers(12, 16)), draw(st.integers(20, 300))
+    cut = ["run.runs=1", f"scenario.m={m}", f"scenario.n_snapshots={n}"]
+    if name == "fig9":
+        cut.append(f"scenario.epochs=1:8,{n // 2}:12")
+    (config,) = preset(name)
+    keys = sorted(
+        f"{section}.{key}" for section, body in config_to_sections(config).items() for key in body
+    )
+    # half the values a finite number, which most keys parse, so that runs start too
+    values = st.one_of(st.sampled_from(NUMBERS), st.sampled_from(EXTREMES))
+    sets = draw(st.lists(st.tuples(st.sampled_from(keys), values), min_size=1, max_size=3,
+                         unique_by=lambda item: item[0]))
+    argv = ["run", "--preset", name]
+    for item in cut + [f"{key}={value}" for key, value in sets]:
+        argv += ["--set", item]
+    return argv, [key.rsplit(".", 1)[1] for key, _ in sets]
+
+
+@settings(max_examples=60, deadline=timedelta(seconds=5))
+@given(cut_presets_with_extremes())
+def test_every_override_exits_0_1_or_2_as_documented(case):
+    """The configuration contract: a run ends in a finite CSV (exit 0), a
+    ``ConfigError`` naming a key that was set (exit 2), or a divergence
+    naming run, algorithm and snapshot (exit 1); never in a traceback."""
+    argv, keys = case
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(out), redirect_stderr(err):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # may come before a divergence
+            rc = main([*argv, "--out", tmp])
+        csvs = [path.read_text() for path in Path(tmp).glob("*.csv")]
+    err = err.getvalue()
+    if rc == 0:
+        (text,) = csvs
+        rows = list(csv.reader(text.splitlines()))[1:]
+        assert rows and all(math.isfinite(float(x)) for row in rows for x in row[2:])
+    elif rc == 2:
+        assert any(re.search(rf"(?<!\w){re.escape(key)}(?!\w)", err) for key in keys), err
+    else:
+        assert rc == 1 and DIVERGED.search(err), err
+        assert not csvs
+
 
 class TestComplexity:
     HEADER = [

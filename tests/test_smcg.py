@@ -798,10 +798,28 @@ class TestValidation:
         states = [SmCgState(a0), SmCgState(a0)]
         stack = SmCgStack(states)
         r = 3.0 * a0
-        for _ in range(2):
-            assert step(states[0], r, 0.5)
+        assert step(states[0], r, 0.5)
         with pytest.raises(ValueError, match="a row was staged twice at one snapshot"):
-            stack.commit()
+            step(states[0], r, 0.5)
+
+    def test_repeat_is_refused_at_staging_and_the_gap_row_stays(self):
+        """Rows 0, 0, 2 at one snapshot: the repeat is refused naming row 0
+        before it is counted, and row 1, which never accepted, is left as it
+        was while rows 0 and 2 commit alike."""
+        a0 = steering_vector(ArrayGeometry(4), 90.0)
+        states = [SmCgState(a0) for _ in range(3)]
+        stack = SmCgStack(states)
+        r = 3.0 * a0
+        p1, w1 = states[1].p.copy(), states[1].w
+        assert step(states[0], r, 0.5)
+        with pytest.raises(ValueError, match="staged twice at one snapshot: row 0$"):
+            step(states[0], r, 0.5)
+        assert step(states[2], r, 0.5)
+        stack.commit()
+        assert [state.update_count for state in states] == [1, 0, 1]
+        assert same_bits(states[1].p, p1) and states[1].w is w1
+        for name in ("v", "g", "p", "r_hat", "w"):
+            assert same_bits(getattr(states[0], name), getattr(states[2], name)), name
 
     def test_rejects_negative_delta_and_bad_snapshot(self):
         a0 = steering_vector(ArrayGeometry(4), 90.0)
