@@ -166,7 +166,9 @@ def generate_snapshot(
     Without ``block``, return ``r``, drawn and formed through a block of
     one. With ``block``, make only the snapshot's draws, into the block,
     and return nothing; ``block.form()`` then forms every ``r`` drawn
-    into it at once. Both give the same bits.
+    into it at once. Both give the same bits. A block draws from the
+    generator it was built with, so ``rng`` must be that generator; any
+    other is refused with a ``ValueError``.
 
     RNG-stream contract: per snapshot, the BPSK symbols of the sources
     active at ``i``, desired source first, then the noise, real parts
@@ -175,12 +177,12 @@ def generate_snapshot(
     half first, so an odd leftover half carries to the next snapshot, as
     it does for ``integers``. Each ``block.form()`` hands that half back
     to the generator's buffer: after it, the generator stands where
-    ``integers`` leaves it, and until it, only the block may draw 32-bit
-    halves from ``rng``. The noise is ``rng.standard_normal(2 * m)``, the
-    same numbers as two ``standard_normal(m)`` calls. The bit generator
-    must buffer a 32-bit half (``has_uint32`` in its state, as PCG64,
-    PCG64DXSM, Philox and SFC64 do); for any other, such as MT19937, a
-    ``ValueError`` names it.
+    ``integers`` leaves it, and until it, nothing but the block's own
+    draws may take 32-bit halves from ``rng``. The noise is
+    ``rng.standard_normal(2 * m)``, the same numbers as two
+    ``standard_normal(m)`` calls. The bit generator must buffer a 32-bit
+    half (``has_uint32`` in its state, as PCG64, PCG64DXSM, Philox and
+    SFC64 do); for any other, such as MT19937, a ``ValueError`` names it.
 
     Every part rounds as in ``A @ (amps * symbols) + scale * (re + 1j * im)``:
     a symbol of +-1 only picks the sign of its amplitude, the noise parts
@@ -189,9 +191,11 @@ def generate_snapshot(
     """
     if block is None:
         block = SnapshotBlock(scenario, 1, rng)
-        block.draw(epoch_index(scenario, i), rng)
+        block.draw(epoch_index(scenario, i))
         return block.form()[0]
-    block.draw(epoch_index(scenario, i), rng)
+    if rng is not block.rng:
+        raise ValueError("a snapshot block draws from the generator it was built with, not rng")
+    block.draw(epoch_index(scenario, i))
 
 
 class SnapshotBlock:
@@ -199,10 +203,11 @@ class SnapshotBlock:
 
     ``draw`` makes one snapshot's draws, in the order ``generate_snapshot``
     documents; ``form`` forms ``r`` for every snapshot drawn since the last
-    ``form``. The generator's buffered half is read once, here, and handed
-    back by each ``form`` that changes it, so after each ``form`` the
-    generator stands where ``integers`` would leave it. Until then only
-    this block may draw 32-bit halves from ``rng``.
+    ``form``. Both symbols and noise come from ``rng``, the generator
+    the block is built with and keeps. Its buffered half is read once,
+    here, and handed back by each ``form`` that changes it, so after each
+    ``form`` the generator stands where ``integers`` would leave it. Until
+    then nothing but this block's draws may take 32-bit halves from ``rng``.
     """
 
     def __init__(self, scenario: Scenario, size: int, rng: np.random.Generator) -> None:
@@ -214,7 +219,7 @@ class SnapshotBlock:
             )
         m = scenario.geometry.n_sensors
         self.scenario = scenario
-        self.bits = rng.bit_generator
+        self.rng, self.bits = rng, rng.bit_generator
         self.q = [len(sources) for _, sources in scenario.epochs]
         # the half left over before the block's first snapshot; whether one stands now
         self.head = [state["uinteger"]] if state["has_uint32"] else []
@@ -225,7 +230,7 @@ class SnapshotBlock:
         self.count = 0
         self.epoch = 0
 
-    def draw(self, epoch: int, rng: np.random.Generator) -> None:
+    def draw(self, epoch: int) -> None:
         """Draw the symbols and the noise of one snapshot of epoch ``epoch``."""
         k = self.count
         if k and epoch != self.epoch:
@@ -234,7 +239,7 @@ class SnapshotBlock:
         n = (q - carried + 1) >> 1
         self.words.append(self.bits.random_raw(n))
         self.carried = carried + 2 * n - q
-        rng.standard_normal(out=self.noise[k])
+        self.rng.standard_normal(out=self.noise[k])
         self.epoch, self.count = epoch, k + 1
 
     def form(self) -> np.ndarray:

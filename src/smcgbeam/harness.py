@@ -29,7 +29,8 @@ snapshot), RLS (one call) or MVDR entry, and, where the first gated
 (``smcg``) entry stands, one for all of them as the rows of one
 ``SmCgStack``: per snapshot each row's bound is refreshed and its gate
 tested, and the rows that accept are staged once and updated in place,
-a run of adjacent rows per slice, bit for bit as each would be alone.
+through one slice if they are adjacent and otherwise each row alone, bit
+for bit as each would be alone.
 
 Right after each runner, its entries' per-snapshot SINR is evaluated on
 the analytic epoch covariances; a run that diverges stops in that block,

@@ -25,7 +25,8 @@ def sinr_linear(
 
     ``w`` may also hold one weight vector per row. The result is then an
     array that equals the call on each row bit for bit, with nan where that
-    call would raise or the row is not finite. Each quadratic form is a
+    call would raise or the row is not finite, and inf where a quadratic
+    form of a finite row is beyond float range. Each quadratic form is a
     stack of matrix-vector products reduced by ``vecdot``, which runs the
     same kernels as ``C @ w`` and ``vdot``; one matrix-matrix product would
     round differently. One vector is the row form on ``w[None]``.
@@ -39,7 +40,8 @@ def sinr_linear(
     den = np.vecdot(w, (intnoise_cov @ w[..., None])[..., 0]).real
     positive = den > 0.0
     ratio = num[positive] / den[positive]
-    out[finite[positive]] = np.where(ratio > _SINR_FLOOR_LINEAR, ratio, _SINR_FLOOR_LINEAR)
+    out[finite[positive]] = np.maximum(ratio, _SINR_FLOOR_LINEAR)
+    out[finite[~(np.isfinite(num) & np.isfinite(den))]] = np.inf
     if not rows and np.isnan(out[0]):
         raise ValueError("interference-plus-noise output power must be positive")
     return out if rows else out[0]

@@ -40,10 +40,10 @@ the update computed.
 Filters that see the same snapshots advance together as the rows of an
 :class:`SmCgStack`. Per snapshot the stack forms every row's inner
 products with one set of stacked NumPy calls, each accepting row solves
-its own lambda1 and alpha, and the stack commits them in place, each run
-of adjacent rows with one set of calls. The stacked forms round as the
-per-filter ones, so a row ends each snapshot bit for bit as the filter
-would alone; a filter built on its own is a stack of one.
+its own lambda1 and alpha, and the stack commits them in place: adjacent
+rows with one set of calls, and otherwise each row alone. The stacked
+forms round as the per-filter ones, so a row ends each snapshot bit for
+bit as the filter would alone; a filter built on its own is a stack of one.
 """
 
 from __future__ import annotations
@@ -174,7 +174,7 @@ def _row_field(name: str) -> property:
 
     def set_(self, value):
         getattr(self, attr)[...] = value
-        self._stack._snapshot = None  # the products formed before are stale
+        self._stack._forms = None  # the products formed before are stale
 
     return property(get, set_, doc=f"``{name}``, this filter's row of its stack.")
 
@@ -334,8 +334,8 @@ class SmCgStack:
     forms the inner products of every row at once (:meth:`forms`), each
     accepting row solves its own lambda1 and alpha in Python numbers and
     stages them once, and :meth:`commit` updates the staged rows in place,
-    a run of adjacent rows through one slice. A stack of one commits as its
-    row stages, so its :meth:`commit` returns at once.
+    adjacent ones through one slice and otherwise one at a time. A stack of
+    one commits as its row stages, so its :meth:`commit` returns at once.
 
     The stacked forms round as the per-filter ones: a stacked ``matvec``
     and ``vecdot`` equal ``R @ p`` and ``vdot`` row by row, a ``(k, 1)``
@@ -373,14 +373,14 @@ class SmCgStack:
 
     def forms(self, r: np.ndarray) -> list[tuple]:
         """Per row, the inner products an update reads at snapshot ``r``, as
-        Python numbers, formed once until the next commit.
+        Python numbers, formed once until the next commit or field write.
 
         ``(Re p^H R p, v^H r, g^H p, p^H r, v^H a0, p^H a0)``; the last two,
         which only a root reads, are ``None`` for a lone filter whose clamp
         pins lambda1. One row forms them on its own views with ``vdot``, as a
         lone filter does; several with one stacked call per product.
         """
-        if self._snapshot is r:
+        if self._snapshot is r and self._forms is not None:
             return self._forms
         if self._single:
             state = self._states[0]()
@@ -424,26 +424,26 @@ class SmCgStack:
         self._staged.append(row)
 
     def commit(self) -> None:
-        """Apply every update staged at the current snapshot, in place.
-
-        Each run of adjacent staged rows is updated through one slice of
-        the stack's arrays. ``w`` is rebound to a copy holding the new
-        weights, which a row whose ``a0^H v`` is zero does without. A stack
-        of one has committed already.
+        """Apply every update staged at the current snapshot, in place:
+        adjacent rows through one slice of the stack's arrays, and rows with
+        a hole between them one at a time. ``w`` is rebound to a copy holding
+        the new weights, which a row whose ``a0^H v`` is zero does without.
+        A stack of one has committed already.
         """
         if not self._staged:
             return
         rows, self._staged = sorted(self._staged), []
         r, self._snapshot, self._forms = self._snapshot, None, None
-        w = self.w.copy()
-        for lo, hi in _runs(rows):
+        self.w = w = self.w.copy()
+        hole = rows[-1] - rows[0] >= len(rows)
+        for lo, hi in [(row, row + 1) for row in rows] if hole else [(rows[0], rows[-1] + 1)]:
             cols = self._stage[:, lo:hi]
             av = self._apply(r, lo, hi, cols[0, :, None, None], cols[1, :, None], cols[2, :, None])
-            for a, b in _runs([row for row, x in enumerate(av.tolist(), lo) if x != 0.0]):
-                np.divide(self.gamma[a:b] * self.v[a:b], av[a - lo:b - lo, None], out=w[a:b])
-                for row in range(a, b):
+            col = av[:, None]
+            np.divide(self.gamma[lo:hi] * self.v[lo:hi], col, out=w[lo:hi], where=col != 0.0)
+            for row, x in enumerate(av.tolist(), lo):
+                if x != 0.0:
                     self._states[row]().w = w[row]
-        self.w = w
 
     def _apply(self, r, lo, hi, lam, alpha, lam_rv):
         """The recursion of one update at snapshot ``r`` on rows ``lo:hi``,
@@ -478,14 +478,3 @@ class SmCgStack:
             state.w = state.gamma * v / av
             self.w = state.w[None]
         return av
-
-
-def _runs(rows: list[int]) -> list[list[int]]:
-    """``[lo, hi]`` of each run of adjacent entries of the ascending ``rows``."""
-    runs: list[list[int]] = []
-    for row in rows:
-        if runs and runs[-1][1] == row:
-            runs[-1][1] += 1
-        else:
-            runs.append([row, row + 1])
-    return runs

@@ -270,6 +270,18 @@ class TestGenerateSnapshot:
         with pytest.raises(ValueError, match="one epoch"):
             generate_snapshot(sc, 41, rng, block)
 
+    def test_block_refuses_a_second_generator(self):
+        """A block draws symbols and noise from the generator it was built
+        with; a call that hands it another is refused before any draw."""
+        sc = make_scenario()
+        rng, other = np.random.default_rng(5), np.random.default_rng(6)
+        block = SnapshotBlock(sc, 4, rng)
+        before = (rng.bit_generator.state, other.bit_generator.state)
+        with pytest.raises(ValueError, match="the generator it was built with"):
+            generate_snapshot(sc, 1, other, block)
+        assert (rng.bit_generator.state, other.bit_generator.state) == before
+        assert block.count == 0
+
     def test_generator_without_a_buffered_half_is_named(self):
         sc = make_scenario()
         with pytest.raises(ValueError, match="MT19937"):

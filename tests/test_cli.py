@@ -251,6 +251,17 @@ class TestRun:
         assert "Traceback" not in err
         assert not (tmp_path / f"{name}.csv").exists()
 
+    def test_overflowing_output_power_exits_1_as_a_nonfinite_sinr(self, tmp_path, capsys):
+        """At gamma 1e308 the weights are finite, but ``w^H R w`` overflows:
+        that is a non-finite SINR, not a power that is not positive."""
+        with np.errstate(all="ignore"):
+            rc = main(["run", "--preset", "fig4", "--runs", "1", "--out", str(tmp_path),
+                       "--set", "scenario.n_snapshots=30", "--set", "scenario.gamma=1e308"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error: run 0: non-finite sinr for algorithm 'smcg' at snapshot 1" in err
+        assert "Traceback" not in err
+
 
 # Extreme override values: the finite numbers, then the rest.
 NUMBERS = ("0", "-1", "5e-324", "1e308", str(10**20))

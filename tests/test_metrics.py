@@ -60,6 +60,14 @@ class TestSinr:
         desired = np.outer(a0, a0.conj())
         assert sinr_linear(w, desired, np.eye(2)) == 1e-20
 
+    def test_overflowing_forms_are_not_floored(self):
+        """Finite weights whose quadratic forms overflow give a SINR that is
+        not finite, alone and as a row; ``inf / inf`` is not the floor."""
+        w = np.full(4, 1e200 + 0j)
+        with np.errstate(all="ignore"):
+            assert sinr_linear(w, np.eye(4), np.eye(4)) == np.inf
+            assert sinr_linear(w[None], np.eye(4), np.eye(4)).tolist() == [np.inf]
+
     def test_zero_weights_rejected(self):
         a0 = np.ones(2, dtype=complex)
         with pytest.raises(ValueError):

@@ -329,6 +329,32 @@ def test_lambda1_reads_reassigned_fields(rows):
     assert seen[0] != seen[1] != seen[2]
 
 
+def test_field_write_between_step_and_commit_keeps_the_staged_update():
+    """Row 0 of a two-row stack stages an update, and row 1's ``p`` is
+    assigned before ``commit``: row 0 commits as its twin in a stack without
+    the write, and row 1 holds the assigned ``p``."""
+    sc, rng = small_scenario()
+    a0 = steering_vector(sc.geometry, 90.0)
+    written, twins = ([SmCgState(a0), SmCgState(a0, eta=0.3)] for _ in range(2))
+    stacks = [SmCgStack(written), SmCgStack(twins)]
+    for i in range(1, 31):
+        r = generate_snapshot(sc, i, rng)
+        for states, stack in zip((written, twins), stacks):
+            for state in states:
+                step(state, r, 3.0)
+            stack.commit()
+    r = generate_snapshot(sc, 31, rng)
+    assert step(written[0], r, 0.0) and step(twins[0], r, 0.0)
+    written[1].p = written[1].g
+    for stack in stacks:
+        stack.commit()
+    assert written[0].update_count == twins[0].update_count
+    for name in ("v", "g", "p", "r_hat", "w"):
+        assert same_bits(getattr(written[0], name), getattr(twins[0], name)), name
+    assert same_bits(written[1].p, written[1].g)
+    assert not same_bits(written[1].p, twins[1].p)
+
+
 def test_update_calls_seen_by_a_tracer(monkeypatch):
     """Over gated runs, each update calls ``compute_lambda1(r, delta)`` and
     ``compute_alpha`` once, and each solve reaches the module's
@@ -681,10 +707,15 @@ def _degenerate(state):
     state.g = np.zeros(4, dtype=complex)
 
 
-@pytest.mark.parametrize("degenerate", [(1,), (0, 1, 2)], ids=["middle", "all"])
-def test_stacked_degenerate_rows_keep_their_weights(degenerate):
-    """Three rows accept one snapshot; each degenerate row keeps its ``w``
-    object, and every row ends as its lone twin bit for bit."""
+@pytest.mark.parametrize(
+    "degenerate, accepting",
+    [((1,), (0, 1, 2)), ((0, 1, 2), (0, 1, 2)), ((2,), (0, 2))],
+    ids=["middle", "all", "hole"],
+)
+def test_stacked_degenerate_rows_keep_their_weights(degenerate, accepting):
+    """The ``accepting`` rows of three accept one snapshot (with a hole: each
+    row alone); each degenerate row keeps its ``w`` object, and every row,
+    in the stack's ``w`` too, ends as its lone twin bit for bit."""
     a0 = np.ones(4, dtype=complex)
     r = np.array([3.0, 0, 0, 0], dtype=complex)
     stacked, alone = ([SmCgState(a0) for _ in range(3)] for _ in range(2))
@@ -693,12 +724,14 @@ def test_stacked_degenerate_rows_keep_their_weights(degenerate):
         _degenerate(alone[row])
     stack = SmCgStack(stacked)
     weights = [state.w for state in stacked]
-    for state in stacked:
-        assert step(state, r, 0.5)
+    for row in accepting:
+        assert step(stacked[row], r, 0.5)
     stack.commit()
     for row, (got, want) in enumerate(zip(stacked, alone)):
-        assert step(want, r, 0.5)
-        assert (got.w is weights[row]) == (row in degenerate)
+        if row in accepting:
+            assert step(want, r, 0.5)
+        assert (got.w is weights[row]) == (row in degenerate or row not in accepting)
+        assert same_bits(stack.w[row], got.w), row
         for name in ("v", "g", "p", "r_hat", "w"):
             assert same_bits(getattr(got, name), getattr(want, name)), (row, name)
 
