@@ -78,9 +78,17 @@ def _resolve_configs(args):
     )
 
 
+def _make_dir(path: Path) -> None:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # such as a file where the directory should be
+        what = exc.strerror or exc
+        raise ConfigError(f"--out: cannot make the directory {str(path)!r}: {what}") from exc
+
+
 def _cmd_run(args) -> int:
     out_dir = Path(args.out or _default_out())
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(out_dir)
     for config in _resolve_configs(args):
         result = run_experiment(config)
         path = out_dir / f"{config.label}.csv"
@@ -106,12 +114,17 @@ def _cmd_complexity(args) -> int:
     out = Path(args.out) if args.out is not None else Path(_default_out())
     if out.suffix == ".csv" and not out.is_dir():
         path = out
-        path.parent.mkdir(parents=True, exist_ok=True)
+        _make_dir(path.parent)
     else:
-        out.mkdir(parents=True, exist_ok=True)
+        _make_dir(out)
         path = out / "complexity.csv"
     m_values = list(range(args.m_min, args.m_max + 1, args.m_step))
-    emit_complexity_table(path, m_values, n_snapshots=args.snapshots)
+    try:  # the table is formed whole before its file is opened
+        emit_complexity_table(path, m_values, n_snapshots=args.snapshots)
+    except OverflowError as exc:
+        raise ConfigError(
+            f"--m-min, --m-max and --snapshots give operation counts beyond float range: {exc}"
+        ) from exc
     print(f"wrote {path}")
     return 0
 

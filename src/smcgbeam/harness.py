@@ -109,6 +109,7 @@ _TAU = {
     "sm-cg": 0.06,
 }
 _PROJECTION_ORDER = 3
+_LABEL_BREAKERS = frozenset(',"\n\r/\\\0')  # each breaks a CSV row or a file name
 
 PRESET_NAMES = ("fig4", "fig5", "fig6", "fig8", "fig9")
 
@@ -161,6 +162,7 @@ class ExperimentConfig:
     algorithms: tuple[AlgoSpec, ...] = ()
 
     def validate(self) -> None:
+        _check_label("label", self.label)
         for f in fields(self):
             if isinstance(f.default, (int, float)):
                 _check_value(f.name, getattr(self, f.name), f.default, "finite")
@@ -240,6 +242,8 @@ class ExperimentConfig:
         if not self.algorithms:
             raise ConfigError("algorithms must not be empty")
         labels = [spec.label for spec in self.algorithms]
+        for label in labels:
+            _check_label(f"algorithms[{label}]", label)
         if len(set(labels)) != len(labels):
             raise ConfigError("algorithms labels must be unique")
         for spec in self.algorithms:
@@ -248,6 +252,15 @@ class ExperimentConfig:
     def digest(self) -> str:
         text = repr(self)
         return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _check_label(where: str, label) -> None:
+    """Refuse a label that would break a CSV row or the output file name."""
+    if not isinstance(label, str) or not label or not _LABEL_BREAKERS.isdisjoint(label):
+        raise ConfigError(
+            f"{where} must be non-empty text without a comma, double quote, line break, "
+            f"'/', '\\' or NUL, got {label!r}"
+        )
 
 
 def _check_value(where: str, value, default, finite: str) -> None:

@@ -29,7 +29,9 @@ def sinr_linear(
     form of a finite row is beyond float range. Each quadratic form is a
     stack of matrix-vector products reduced by ``vecdot``, which runs the
     same kernels as ``C @ w`` and ``vdot``; one matrix-matrix product would
-    round differently. One vector is the row form on ``w[None]``.
+    round differently. One vector is the row form on ``w[None]``; where
+    that row is nan it raises ``ValueError``, naming non-finite weights or
+    else the power.
     """
     rows = np.ndim(w) == 2
     w = w if rows else np.asarray(w)[None]
@@ -43,6 +45,8 @@ def sinr_linear(
     out[finite[positive]] = np.maximum(ratio, _SINR_FLOOR_LINEAR)
     out[finite[~(np.isfinite(num) & np.isfinite(den))]] = np.inf
     if not rows and np.isnan(out[0]):
+        if not finite.size:
+            raise ValueError("weights must be finite")
         raise ValueError("interference-plus-noise output power must be positive")
     return out if rows else out[0]
 

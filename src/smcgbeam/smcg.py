@@ -39,11 +39,11 @@ the update computed.
 
 Filters that see the same snapshots advance together as the rows of an
 :class:`SmCgStack`. Per snapshot the stack forms every row's inner
-products with one set of stacked NumPy calls, each accepting row solves
-its own lambda1 and alpha, and the stack commits them in place: adjacent
-rows with one set of calls, and otherwise each row alone. The stacked
-forms round as the per-filter ones, so a row ends each snapshot bit for
-bit as the filter would alone; a filter built on its own is a stack of one.
+products with one set of stacked NumPy calls, one row or many; each
+accepting row solves its own lambda1 and alpha, and the stack commits
+them in place: adjacent rows with one set of calls, and otherwise each
+row alone. Stacked products round as ``vdot`` does, so a row ends each
+snapshot bit for bit as the filter would alone, in a stack of one.
 """
 
 from __future__ import annotations
@@ -337,11 +337,11 @@ class SmCgStack:
     adjacent ones through one slice and otherwise one at a time. A stack of
     one commits as its row stages, so its :meth:`commit` returns at once.
 
-    The stacked forms round as the per-filter ones: a stacked ``matvec``
-    and ``vecdot`` equal ``R @ p`` and ``vdot`` row by row, a ``(k, 1)``
-    real or complex column times ``(k, m)`` equals a scalar times each
-    row, and an array division equals NumPy's scalar division. So every
-    row ends each snapshot as it would have alone.
+    Stacked calls round as a row's own, one row or many: a stacked
+    ``matvec`` and ``vecdot`` equal ``R @ p`` and ``vdot`` row by row, a
+    ``(k, 1)`` real or complex column times ``(k, m)`` equals a scalar
+    times each row, and an array division equals NumPy's scalar division.
+    So every row ends each snapshot as it would have alone.
 
     ``w`` is rebound by every commit and never written in place, so the
     weights a row held stay valid. The stack holds its states weakly; the
@@ -363,7 +363,7 @@ class SmCgStack:
         # complex columns: (x, +0) is the operand NumPy makes of a float times a complex array
         self.gamma = np.array([[s.gamma] for s in states], dtype=complex)
         self._single = len(states) == 1
-        self._solves = states[0].lambda1_min < states[0].lambda1_max
+        self._solves = any(s.lambda1_min < s.lambda1_max for s in states)
         self._snapshot = self._forms = None
         # by row, the staged lambda1, alpha and lambda1 r^H v; and the rows staged
         self._stage = np.zeros((3, len(states)), dtype=complex)
@@ -375,31 +375,21 @@ class SmCgStack:
         """Per row, the inner products an update reads at snapshot ``r``, as
         Python numbers, formed once until the next commit or field write.
 
-        ``(Re p^H R p, v^H r, g^H p, p^H r, v^H a0, p^H a0)``; the last two,
-        which only a root reads, are ``None`` for a lone filter whose clamp
-        pins lambda1. One row forms them on its own views with ``vdot``, as a
-        lone filter does; several with one stacked call per product.
+        ``(Re p^H R p, v^H r, g^H p, p^H r, v^H a0, p^H a0)``, each formed
+        for every row by one stacked call, however many rows there are. The
+        last two, which only a root reads, are ``None`` when every row's
+        clamp pins lambda1.
         """
         if self._snapshot is r and self._forms is not None:
             return self._forms
-        if self._single:
-            state = self._states[0]()
-            p, v, a0 = state._p, state._v, state.steering
-            forms = [(
-                float(np.vdot(p, np.matvec(state._r_hat, p)).real),
-                complex(np.vdot(v, r)),
-                complex(np.vdot(state._g, p)),
-                complex(np.vdot(p, r)),
-                complex(np.vdot(v, a0)) if self._solves else None,
-                complex(np.vdot(p, a0)) if self._solves else None,
-            )]
-        else:
-            p = self.p
-            p_r_p = np.vecdot(p, np.matvec(self.r_hat, p)).real.tolist()
-            vr, pr = np.vecdot(self._vp, r).tolist()
-            gp = np.vecdot(self.g, p).tolist()
+        p = self.p
+        p_r_p = np.vecdot(p, np.matvec(self.r_hat, p)).real.tolist()
+        vr, pr = np.vecdot(self._vp, r).tolist()
+        gp = np.vecdot(self.g, p).tolist()
+        va = pa = [None] * len(gp)
+        if self._solves:
             va, pa = np.vecdot(self._vp, self.steering).tolist()
-            forms = list(zip(p_r_p, vr, gp, pr, va, pa))
+        forms = list(zip(p_r_p, vr, gp, pr, va, pa))
         self._snapshot, self._forms = r, forms
         return forms
 

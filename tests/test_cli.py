@@ -164,6 +164,30 @@ class TestRun:
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "fig4.csv").exists()
 
+    @pytest.mark.parametrize(
+        "override, field",
+        [("algo:a,b.kind=mvdr", "algorithms[a,b]"), ("run.label=sub/dir", "label")],
+        ids=["comma-in-algorithm-label", "slash-in-run-label"],
+    )
+    def test_label_that_breaks_the_csv_exits_2_naming_it(self, tmp_path, capsys, override, field):
+        """A comma would add a field to each CSV row, and a slash would name
+        a file in a directory that does not exist."""
+        rc = main(["run", "--preset", "fig4", "--runs", "1", "--out", str(tmp_path),
+                   "--set", "scenario.n_snapshots=3", "--set", override])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error: {field} must be non-empty text without a comma" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.rglob("*.csv"))
+
+    def test_out_that_is_a_file_exits_2_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("kept\n")
+        rc = main(["run", "--preset", "fig4", "--runs", "1", "--out", str(out), *SHRINK_FIG4])
+        assert rc == 2
+        assert f"error: --out: cannot make the directory {str(out)!r}" in capsys.readouterr().err
+        assert out.read_text() == "kept\n"
+
     def test_config_file_with_an_m_near_2_to_the_63_exits_2_naming_it(self, tmp_path, capsys):
         sections = {
             "run": {"label": "bigm", "runs": "1"},
@@ -362,6 +386,30 @@ class TestComplexity:
         )
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--m-min", "8", "--m-max", "8", "--snapshots", str(10**330)],
+            ["--m-min", str(10**200), "--m-max", str(10**200)],
+        ],
+        ids=["snapshots", "m"],
+    )
+    def test_counts_beyond_float_range_exit_2_naming_the_options(self, tmp_path, capsys, argv):
+        """Single-valued m ranges only: a range of many huge m would be built whole."""
+        rc = main(["complexity", *argv, "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error: --m-min, --m-max and --snapshots give operation counts beyond" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_out_that_is_a_file_without_csv_suffix_exits_2_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "table"
+        out.write_text("kept\n")
+        rc = main(["complexity", "--m-min", "8", "--m-max", "8", "--out", str(out)])
+        assert rc == 2
+        assert f"error: --out: cannot make the directory {str(out)!r}" in capsys.readouterr().err
+        assert out.read_text() == "kept\n"
 
     def test_no_snapshots_exits_2_naming_it(self, tmp_path, capsys):
         rc = main(["complexity", "--snapshots", "0", "--out", str(tmp_path)])

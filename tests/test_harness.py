@@ -2,6 +2,7 @@
 
 import configparser
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -220,6 +221,29 @@ class TestValidation:
             pytest.param(
                 dict(epochs=(1, 10)), r"epochs entry 1 is not a \(start, sources\) pair",
                 id="epochs-flat-pair",
+            ),
+            pytest.param(dict(label=""), r"^label must be non-empty text", id="empty-label"),
+            pytest.param(
+                dict(label="sub/dir"), r"^label must be .*, got 'sub/dir'$", id="label-slash",
+            ),
+            pytest.param(
+                dict(label="a\\b"), r"^label must be .*, got 'a\\\\b'$", id="label-backslash",
+            ),
+            pytest.param(dict(label=None), r"^label must be .*, got None$", id="label-not-text"),
+            *(
+                pytest.param(
+                    dict(algorithms=(algo("smcg", "smcg"), algo(f"a{c}b", "mvdr"))),
+                    rf"^algorithms\[a{re.escape(c)}b\] must be non-empty text",
+                    id=f"algorithm-label-{name}",
+                )
+                for c, name in [
+                    (",", "comma"), ('"', "quote"), ("\n", "newline"), ("\r", "return"),
+                    ("/", "slash"), ("\0", "nul"),
+                ]
+            ),
+            pytest.param(
+                dict(algorithms=(algo("", "mvdr"),)), r"^algorithms\[\] must be non-empty",
+                id="algorithm-label-empty",
             ),
         ],
     )

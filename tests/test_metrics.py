@@ -73,6 +73,14 @@ class TestSinr:
         with pytest.raises(ValueError):
             sinr_linear(np.zeros(2, dtype=complex), np.outer(a0, a0.conj()), np.eye(2))
 
+    def test_non_finite_weights_are_named(self):
+        """One vector that is not finite is refused for its weights, not for
+        an output power it never formed."""
+        with pytest.raises(ValueError, match="^weights must be finite$"):
+            sinr_linear(np.full(4, np.nan + 0j), np.eye(4), np.eye(4))
+        with pytest.raises(ValueError, match="^interference-plus-noise output power must be"):
+            sinr_linear(np.zeros(4, dtype=complex), np.eye(4), np.eye(4))
+
     def test_sinr_of_each_epoch_uses_its_covariances(self):
         geometry = ArrayGeometry(4)
         sc = Scenario(

@@ -494,6 +494,45 @@ def test_stack_matches_its_members_alone(monkeypatch, m, gamma):
     assert any(rows and rows[-1] - rows[0] >= len(rows) for rows in accepted)
 
 
+@pytest.mark.parametrize(
+    "clamps, solves",
+    [
+        ([(0.9, 0.9)], False),
+        ([(0.9, 0.9), (0.5, 0.5)], False),
+        ([(0.9, 0.9), (0.1, 0.999)], True),
+    ],
+    ids=["lone-pinned", "all-pinned", "pinned-then-solving"],
+)
+def test_forms_skip_the_root_products_only_when_every_clamp_pins(clamps, solves):
+    """``v^H a0`` and ``p^H a0`` feed only the root: every row forms them,
+    as ``vdot`` does, when some row's clamp leaves lambda1 free, and none
+    does when every clamp pins it, a lone filter included."""
+    rng = np.random.default_rng(4)
+    a0 = steering_vector(ArrayGeometry(6), 90.0)
+    states = [SmCgState(a0, lambda1_min=lo, lambda1_max=hi) for lo, hi in clamps]
+    stack = SmCgStack(states) if len(states) > 1 else states[0]._stack
+    for state in states:
+        state.v = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    r = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    forms = stack.forms(r)
+    assert len(forms) == len(states)
+    for state, (p_r_p, vr, gp, pr, va, pa) in zip(states, forms):
+        p = state.p
+        assert p_r_p == np.vdot(p, state.r_hat @ p).real
+        assert [vr, gp, pr] == [np.vdot(state.v, r), np.vdot(state.g, p), np.vdot(p, r)]
+        if solves:
+            assert [va, pa] == [np.vdot(state.v, a0), np.vdot(p, a0)]
+        else:
+            assert va is None and pa is None
+
+
+def test_pinned_first_row_leaves_the_next_row_solving(monkeypatch):
+    """A stack whose first row is pinned forms the root's products for the
+    row after it, which solves lambda1 and ends each snapshot as alone."""
+    history = _stack_against_alone(monkeypatch, (_STACK_ROWS[3], _STACK_ROWS[0]), 16, 1.0)
+    assert sum(row[1] == ("returned", True) for row in history) > 20
+
+
 def test_stack_row_that_raises_leaves_the_others_as_alone(monkeypatch):
     """A row whose estimate is not positive definite raises at each update it
     tries; it stays as it was, and the rows beside it commit as alone."""
