@@ -47,6 +47,11 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", type=int, help="override the master seed")
     run_p.add_argument("--out", default=None, help="output directory")
     run_p.add_argument(
+        "--workers", type=int, default=None, metavar="N",
+        help="processes that share each experiment (default: the usable CPUs; "
+        "1 for jobs that run side by side)",
+    )
+    run_p.add_argument(
         "--set",
         dest="overrides",
         action="append",
@@ -87,11 +92,16 @@ def _make_dir(path: Path) -> None:
 
 
 def _cmd_run(args) -> int:
+    if args.workers is not None and args.workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     out_dir = Path(args.out or _default_out())
     _make_dir(out_dir)
-    for config in _resolve_configs(args):
-        result = run_experiment(config)
-        path = out_dir / f"{config.label}.csv"
+    jobs = [(config, out_dir / f"{config.label}.csv") for config in _resolve_configs(args)]
+    for _, path in jobs:
+        if path.is_dir():
+            raise ConfigError(f"--out: cannot write the CSV {str(path)!r}: it is a directory")
+    for config, path in jobs:
+        result = run_experiment(config, workers=args.workers)
         emit_csv(result, path)
         print(f"{config.label}: {config.runs} runs x {config.n_snapshots} snapshots")
         for lab in result.algorithms:

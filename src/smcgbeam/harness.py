@@ -38,6 +38,18 @@ naming entry and snapshot. SINRs are averaged across runs in the linear
 domain and update rates as per-run fractions. ``emit_csv`` writes the
 aggregate in a fixed row order with 9 significant digits, so re-runs are
 byte-identical.
+
+Because of that contract, ``run_experiment`` may hand its work units to
+this process and forked workers: a unit is run ``k`` for one group of the
+roster, the whole roster while there are at least as many runs as
+processes. A unit seeds run ``k``'s generator itself, draws the scenario
+and every snapshot again, and advances only its group's entries; a gated
+stack may be split, since each of its rows is bit for bit the lone filter.
+The rows come back to this process, which merges them by roster index and
+accumulates the runs in run order, so every sum is formed as in one
+process and the CSV is byte-identical for any ``workers``. If a unit fails,
+the workers are stopped and run ``k`` is run again here with the whole
+roster, which raises the one-process error with its cause chain.
 """
 
 from __future__ import annotations
@@ -46,6 +58,9 @@ import configparser
 import hashlib
 import inspect
 import math
+import os
+import threading
+from contextlib import closing
 from dataclasses import dataclass, field, fields, replace
 from numbers import Integral, Real
 
@@ -519,8 +534,8 @@ _BLOCK = 256
 _NONPOSITIVE = "the weights are finite but the interference-plus-noise output power is not positive"
 
 
-def _single_run(config, scenario, rng, a0):
-    """Advance every roster entry through one run, block by block.
+def _single_run(specs, gamma, scenario, rng, a0):
+    """Advance the roster entries ``specs`` through one run, block by block.
 
     Blocks never straddle an epoch start. Within a block the snapshots are
     drawn first, one ``generate_snapshot`` call each, and formed at once;
@@ -536,14 +551,11 @@ def _single_run(config, scenario, rng, a0):
     at 170 dB), where the quadratic form cancels down to its rounding error.
     """
     n = scenario.n_snapshots
-    specs = config.algorithms
     n_alg = len(specs)
     gated = [j for j, spec in enumerate(specs) if spec.kind == "smcg"]
-    runners = [
-        _entry(j, specs[j], scenario, a0, config.gamma) for j in range(n_alg) if j not in gated
-    ]
+    runners = [_entry(j, specs[j], scenario, a0, gamma) for j in range(n_alg) if j not in gated]
     if gated:  # the stack advances where its first entry stands
-        runners.insert(gated[0], _GatedStack(gated, specs, a0, config.gamma, scenario.noise_power))
+        runners.insert(gated[0], _GatedStack(gated, specs, a0, gamma, scenario.noise_power))
     sinr_lin = np.empty((n_alg, n))
     delta_arr = np.zeros((n_alg, n))
     upd_arr = np.zeros((n_alg, n), dtype=bool)
@@ -579,7 +591,7 @@ def _single_run(config, scenario, rng, a0):
                     bad = ~np.isfinite(dlt[j])
                     if bad.any():
                         raise _diverged("non-finite bound", label, first + np.argmax(bad))
-                    errs = constraint_error_rows(w_rows[idx], a0, config.gamma)
+                    errs = constraint_error_rows(w_rows[idx], a0, gamma)
                     bad = ~np.isfinite(errs)
                     if bad.any():
                         raise _diverged("non-finite weights", label, first + idx[np.argmax(bad)])
@@ -590,8 +602,172 @@ def _single_run(config, scenario, rng, a0):
     return sinr_lin, delta_arr, upd_arr, cons_err
 
 
-def run_experiment(config: ExperimentConfig) -> AggregateResult:
+def _run(config, k, roster):
+    """Run ``k`` of ``config`` for the roster entries ``roster``: their rows of
+    ``(sinr_lin, delta_arr, upd_arr, cons_err)``, from a generator of its own."""
+    rng = np.random.default_rng(config.master_seed ^ k)
+    scenario = build_scenario(config, rng)
+    a0 = steering_vector(scenario.geometry, scenario.desired_doa_deg)
+    specs = [config.algorithms[j] for j in roster]
+    try:
+        return _single_run(specs, config.gamma, scenario, rng, a0)
+    except RunDivergedError as exc:
+        raise RunDivergedError(f"run {k}: {exc}") from exc
+
+
+# Cost of an entry per snapshot by kind, in microseconds at m = 16 (a
+# 2-core x86 host, fig5, fig6 and fig9 at one run; SINR scoring included).
+# A gated row costs 2-31 us as its gate accepts 5-100 % of the snapshots.
+_COST = {"cg": 24.0, "rls": 10.0, "smcg": 10.0, "sg": 6.0, "mvdr": 0.0}
+
+
+def _groups(specs, count: int) -> list[tuple[int, ...]]:
+    """The roster split into at most ``count`` groups of balanced cost, the
+    cheapest first, each in roster order: each entry, the costliest first,
+    joins the cheapest group. No group holds only entries that cost nothing."""
+    costs = [_COST[spec.kind] for spec in specs]
+    loads = [[0.0, []] for _ in range(min(count, sum(cost > 0 for cost in costs) or 1))]
+    for j in sorted(range(len(specs)), key=lambda j: -costs[j]):
+        load = min(loads, key=lambda load: load[0])
+        load[0] += costs[j]
+        load[1].append(j)
+    return [tuple(sorted(roster)) for _, roster in sorted(loads, key=lambda load: load[0])]
+
+
+def _cpus() -> int:
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def _plan(config: ExperimentConfig, workers) -> tuple[int, list[tuple[int, ...]]]:
+    """The process count and the roster groups of ``run_experiment(config,
+    workers)``; a work unit is one run of one group.
+
+    Raises :class:`ConfigError` naming ``workers`` unless it is ``None`` or
+    an integer of at least 1. ``workers``, the usable CPUs for ``None``, is
+    capped at the usable CPUs and at the units. While there are at least as
+    many runs as processes, the one group is the whole roster; otherwise
+    each run's roster is split into enough groups to go round.
+    """
+    if workers is not None:
+        _check_value("workers", workers, 0, "finite")
+        if workers < 1:
+            raise ConfigError(f"workers must be at least 1, got {workers!r}")
+    count = min(_cpus(), workers or math.inf)
+    groups = _groups(config.algorithms, math.ceil(count / config.runs))
+    return min(count, config.runs * len(groups)), groups
+
+
+def _fork_context():
+    """The ``fork`` start method if forked workers may run here, else ``None``.
+
+    They may not while other Python threads are alive (a fork copies only
+    the calling thread), from a daemonic process (it may start none), or
+    while ``run_experiment`` is bound to a wrapper: a tracer that wraps it
+    by name counts calls in this process only.
+    """
+    if threading.active_count() > 1 or run_experiment is not _RUN_EXPERIMENT:
+        return None
+    import multiprocessing  # about 15 ms, paid only where workers run
+
+    if "fork" not in multiprocessing.get_all_start_methods() or (
+        multiprocessing.current_process().daemon
+    ):
+        return None
+    return multiprocessing.get_context("fork")
+
+
+def _serve(sender, config, units) -> None:
+    """A forked worker's share: each unit's rows in order, up to ``None`` for
+    the first that fails, which the parent then runs itself."""
+    for k, roster in units:
+        try:
+            part = _run(config, k, roster)
+        except Exception:
+            part = None
+        sender.send(part)
+        if part is None:
+            return
+
+
+def _forked(config, context, count, groups):
+    """Yield the rows of each run in run order, worked out by this process
+    and ``count - 1`` forked workers; return the first run left to run here.
+
+    Unit ``u`` of ``(run, group)`` pairs in run order, then group order, is
+    worked out by process ``u mod count``, this one being process 0. The
+    groups' rows are merged in roster order. A unit that fails stops the
+    workers; this process then runs that run itself with the full roster,
+    unless its own whole-run unit failed, whose error is raised as it is.
+    No worker outlives the call.
+    """
+    units = [(k, roster) for k in range(config.runs) for roster in groups]
+    workers, pipes = [], []
+    try:
+        try:
+            for share in range(1, count):
+                receiver, sender = context.Pipe(duplex=False)
+                pipes.append(receiver)
+                worker = context.Process(
+                    target=_serve, args=(sender, config, units[share::count]), daemon=True
+                )
+                try:
+                    worker.start()
+                finally:
+                    sender.close()
+                workers.append(worker)
+        except OSError:  # no process could be forked
+            return 0
+        for k in range(config.runs):
+            parts = []
+            for u in range(k * len(groups), (k + 1) * len(groups)):
+                share = u % count
+                try:
+                    parts.append(_run(config, *units[u]) if share == 0 else pipes[share - 1].recv())
+                except Exception:  # here, or EOFError from a worker that died
+                    if share == 0 and len(groups) == 1:
+                        raise
+                    return k
+                if parts[-1] is None:
+                    return k
+            if len(parts) == 1:
+                yield parts[0]
+                continue
+            merged = [np.empty((len(config.algorithms), *a.shape[1:]), a.dtype) for a in parts[0]]
+            for roster, part in zip(groups, parts):
+                for whole, rows in zip(merged, part):
+                    whole[list(roster)] = rows
+            yield merged
+        return config.runs
+    finally:
+        for worker in workers:
+            worker.terminate()
+            worker.join()
+        for receiver in pipes:
+            receiver.close()
+
+
+def _runs(config, workers):
+    """The rows of each run of ``config``, in run order."""
+    count, groups = _plan(config, workers)
+    context = _fork_context() if count > 1 else None
+    start = (yield from _forked(config, context, count, groups)) if context else 0
+    roster = range(len(config.algorithms))
+    for k in range(start, config.runs):
+        yield _run(config, k, roster)
+
+
+def run_experiment(config: ExperimentConfig, workers: int | None = None) -> AggregateResult:
     """Run all Monte-Carlo repetitions of ``config`` and aggregate them.
+
+    ``workers`` processes share the runs, this one and forked workers: by
+    default as many as there are usable CPUs, at most one per work unit (a
+    run, or a group of a run's roster, see :func:`_plan`). The results are
+    those of one process bit for bit. It runs in this process alone where
+    ``workers`` is 1, where there is one unit, and where
+    :func:`_fork_context` finds no fork. A split spends more CPU in all than
+    one process, so callers that already run experiments side by side
+    should pass 1.
 
     Raises :class:`RunDivergedError` in the block where a run diverges or
     a filter step fails, naming the run, the algorithm and the snapshot;
@@ -608,19 +784,13 @@ def run_experiment(config: ExperimentConfig) -> AggregateResult:
     max_cons = np.zeros(n_alg)
     steps = np.arange(1, n + 1, dtype=float)
 
-    for k in range(config.runs):
-        rng = np.random.default_rng(config.master_seed ^ k)
-        scenario = build_scenario(config, rng)
-        a0 = steering_vector(scenario.geometry, scenario.desired_doa_deg)
-        try:
-            sinr_lin, delta_arr, upd_arr, cons_err = _single_run(config, scenario, rng, a0)
-        except RunDivergedError as exc:
-            raise RunDivergedError(f"run {k}: {exc}") from exc
-        acc_lin += sinr_lin
-        acc_delta += delta_arr
-        acc_cum += np.cumsum(upd_arr, axis=1) / steps
-        rates[:, k] = upd_arr.sum(axis=1) / n
-        np.maximum(max_cons, cons_err, out=max_cons)
+    with closing(_runs(config, workers)) as runs:
+        for k, (sinr_lin, delta_arr, upd_arr, cons_err) in enumerate(runs):
+            acc_lin += sinr_lin
+            acc_delta += delta_arr
+            acc_cum += np.cumsum(upd_arr, axis=1) / steps
+            rates[:, k] = upd_arr.sum(axis=1) / n
+            np.maximum(max_cons, cons_err, out=max_cons)
 
     mean_lin = acc_lin / config.runs
     mean_db = 10.0 * np.log10(np.maximum(mean_lin, 1e-20))
@@ -645,6 +815,9 @@ def run_experiment(config: ExperimentConfig) -> AggregateResult:
             kind, config.m, n, update_fraction=result.mean_update_rate[spec.label]
         )
     return result
+
+
+_RUN_EXPERIMENT = run_experiment  # see _fork_context
 
 
 def _formatted(values: np.ndarray) -> list[str]:

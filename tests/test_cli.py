@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smcgbeam import cli
 from smcgbeam.cli import main
 from smcgbeam.harness import PRESET_NAMES, config_to_sections, preset
 
@@ -187,6 +188,41 @@ class TestRun:
         assert rc == 2
         assert f"error: --out: cannot make the directory {str(out)!r}" in capsys.readouterr().err
         assert out.read_text() == "kept\n"
+
+    def test_csv_that_is_a_directory_exits_2_before_running(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "fig4.csv").mkdir()
+        ran = []
+        monkeypatch.setattr("smcgbeam.cli.run_experiment", lambda *args, **kw: ran.append(args))
+        rc = main(["run", "--preset", "fig4", "--runs", "1", "--out", str(tmp_path), *SHRINK_FIG4])
+        assert rc == 2
+        path = str(tmp_path / "fig4.csv")
+        assert f"error: --out: cannot write the CSV {path!r}: it is a directory" in (
+            capsys.readouterr().err
+        )
+        assert ran == []
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_fewer_than_one_worker_exits_2_naming_it(self, tmp_path, capsys, workers):
+        rc = main(["run", "--preset", "fig4", "--out", str(tmp_path), "--workers", workers,
+                   *SHRINK_FIG4])
+        assert rc == 2
+        assert f"error: --workers must be at least 1, got {workers}" in capsys.readouterr().err
+        assert not (tmp_path / "fig4.csv").exists()
+
+    @pytest.mark.parametrize("flag, workers", [([], None), (["--workers", "1"], 1)])
+    def test_workers_reach_run_experiment(self, tmp_path, capsys, monkeypatch, flag, workers):
+        seen, run = [], cli.run_experiment
+
+        def spy(config, workers=None):
+            seen.append(workers)
+            return run(config, workers=workers)
+
+        monkeypatch.setattr(cli, "run_experiment", spy)
+        rc = main(["run", "--preset", "fig4", "--runs", "1", "--out", str(tmp_path), *flag,
+                   *SHRINK_FIG4])
+        assert rc == 0
+        capsys.readouterr()
+        assert seen == [workers]
 
     def test_config_file_with_an_m_near_2_to_the_63_exits_2_naming_it(self, tmp_path, capsys):
         sections = {

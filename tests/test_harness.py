@@ -482,7 +482,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(harness.FrostSg, "step", poisoned)
         with pytest.raises(RunDivergedError) as err:
-            run_experiment(tiny_config(n_snapshots=300))
+            run_experiment(tiny_config(n_snapshots=300), workers=1)
         assert str(err.value) == "run 0: non-finite sinr for algorithm 'sg' at snapshot 37"
 
     def test_nonfinite_bound_behind_a_shut_gate_named(self, monkeypatch):
@@ -498,7 +498,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(harness.PidbBound, "update", poisoned)
         with pytest.raises(RunDivergedError) as err:
-            run_experiment(tiny_config(n_snapshots=300))
+            run_experiment(tiny_config(n_snapshots=300), workers=1)
         assert str(err.value) == "run 0: non-finite bound for algorithm 'smcg' at snapshot 290"
 
     def test_nonfinite_constraint_error_named_by_its_snapshot(self, monkeypatch):
@@ -514,7 +514,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(harness, "constraint_error_rows", poisoned)
         with pytest.raises(RunDivergedError) as err:
-            run_experiment(tiny_config(n_snapshots=300, algorithms=(algo("sg", "sg"),)))
+            run_experiment(tiny_config(n_snapshots=300, algorithms=(algo("sg", "sg"),)), workers=1)
         assert str(err.value) == "run 0: non-finite weights for algorithm 'sg' at snapshot 293"
 
     @pytest.mark.parametrize("kind", ["smcg", "cg"])
@@ -532,7 +532,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(harness.SmCgState, "step", failing)
         with pytest.raises(RunDivergedError) as err:
-            run_experiment(cfg)
+            run_experiment(cfg, workers=1)
         assert str(err.value) == (
             "run 0: covariance estimate lost positive definiteness "
             "for algorithm 'x' at snapshot 280"
@@ -556,7 +556,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(harness.SmCgState, "step", failing)
         with pytest.raises(RunDivergedError) as err:
-            run_experiment(cfg)
+            run_experiment(cfg, workers=1)
         assert str(err.value) == (
             "run 0: covariance estimate lost positive definiteness "
             "for algorithm 'b' at snapshot 280"
@@ -623,7 +623,7 @@ class TestRunExperiment:
             return out
 
         monkeypatch.setattr(harness.np, "vecdot", counting_vecdot)
-        result = run_experiment(cfg)
+        result = run_experiment(cfg, workers=1)
         assert 0.7 < result.mean_update_rate["smcg_pdb"] < 0.95
         assert cfg.n_snapshots <= sum(formed) <= 2 * cfg.n_snapshots
 
@@ -672,7 +672,7 @@ class TestRunExperiment:
             run_block(self, block, first, *rest)
 
         monkeypatch.setattr(harness._MvdrEntry, "run", record)
-        run_experiment(cfg)
+        run_experiment(cfg, workers=1)
         return [first for first, _ in seen], np.concatenate([rows for _, rows in seen])
 
     def test_snapshot_stream_contract(self, monkeypatch):
@@ -731,7 +731,7 @@ class TestRunExperiment:
             return draw(*args, **kwargs)
 
         monkeypatch.setattr(harness, "generate_snapshot", counted)
-        wrapped = run_experiment(cfg)
+        wrapped = run_experiment(cfg, workers=1)
         assert calls == list(range(1, cfg.n_snapshots + 1)) * cfg.runs
         for name in ("mean_sinr_db", "mean_delta", "update_rate_cum"):
             for label in plain.algorithms:

@@ -224,7 +224,7 @@ def test_root_matches_the_seed_closed_form_on_every_fig5_solve(monkeypatch):
 
     monkeypatch.setattr(smcg, "lambda1_root", recording)
     (cfg,) = preset("fig5")
-    run_experiment(dataclasses.replace(cfg, runs=1, n_snapshots=300))
+    run_experiment(dataclasses.replace(cfg, runs=1, n_snapshots=300), workers=1)
     outcomes = [
         (outcome(lambda: root(*args)), outcome(lambda: lambda1_root_seed(*args)))
         for args in solves
@@ -393,7 +393,7 @@ def test_update_calls_seen_by_a_tracer(monkeypatch):
         m=6, epochs=((1, 3),), n_snapshots=300, runs=2,
         algorithms=(algo("smcg", "smcg", bound="fixed", delta=2.0), algo("cg", "cg")),
     )
-    run_experiment(cfg)
+    run_experiment(cfg, workers=1)
     solved, pinned_updates = calls["update", False], calls["update", True]
     assert 0 < solved < cfg.runs * cfg.n_snapshots
     assert calls["lambda1", False] == calls["root", False] == solved
