@@ -42,14 +42,19 @@ byte-identical.
 Because of that contract, ``run_experiment`` may hand its work units to
 this process and forked workers: a unit is run ``k`` for one group of the
 roster, the whole roster while there are at least as many runs as
-processes. A unit seeds run ``k``'s generator itself, draws the scenario
-and every snapshot again, and advances only its group's entries; a gated
-stack may be split, since each of its rows is bit for bit the lone filter.
-The rows come back to this process, which merges them by roster index and
-accumulates the runs in run order, so every sum is formed as in one
-process and the CSV is byte-identical for any ``workers``. If a unit fails,
-the workers are stopped and run ``k`` is run again here with the whole
-roster, which raises the one-process error with its cause chain.
+processes. Each unit seeds run ``k``'s generator itself and draws the
+scenario, and advances only its group's entries; a gated stack may be
+split, since each of its rows is bit for bit the lone filter. A whole-run
+unit draws its snapshots too. Of a split run, only the unit of the first
+group draws: block by block, it draws and forms a block, copies it into a
+bounded ring shared with the run's other units, and then advances its own
+group on it; the others read each block from the ring. The rows come back
+to this process, which merges them by roster index and accumulates the
+runs in run order, so every sum is formed as in one process and the CSV is
+byte-identical for any ``workers``. If a unit fails, or the process at the
+other end of its ring ends, the workers are stopped and run ``k`` is run
+again here with the whole roster, which raises the one-process error with
+its cause chain.
 """
 
 from __future__ import annotations
@@ -534,15 +539,36 @@ _BLOCK = 256
 _NONPOSITIVE = "the weights are finite but the interference-plus-noise output power is not positive"
 
 
-def _single_run(specs, gamma, scenario, rng, a0):
+def _blocks(scenario):
+    """``(epoch start, first snapshot, count)`` of each block of a run, in
+    order: at most ``_BLOCK`` snapshots, never straddling an epoch start."""
+    n = scenario.n_snapshots
+    starts = [start for start, _ in scenario.epochs] + [n + 1]
+    for start, stop in zip(starts, starts[1:]):
+        for first in range(start, stop, _BLOCK):
+            yield start, first, min(_BLOCK, stop - first)
+
+
+def _drawn(scenario, rng):
+    """``(epoch start, first snapshot, rows)`` of each block of a run, drawn
+    from ``rng`` one ``generate_snapshot`` call per snapshot and formed at
+    once; the rows are a view that the next block overwrites."""
+    snapshots = SnapshotBlock(scenario, _BLOCK, rng)
+    for start, first, count in _blocks(scenario):
+        for i in range(first, first + count):
+            generate_snapshot(scenario, i, rng, snapshots)
+        yield start, first, snapshots.form()
+
+
+def _single_run(specs, gamma, scenario, blocks, a0):
     """Advance the roster entries ``specs`` through one run, block by block.
 
-    Blocks never straddle an epoch start. Within a block the snapshots are
-    drawn first, one ``generate_snapshot`` call each, and formed at once;
-    then each runner advances through them in roster order, the gated one
-    where its first entry stands, and its entries are evaluated: the SINR
-    and the constraint error in one batch for the snapshots where the entry
-    updated or an epoch starts, carried forward in between.
+    ``blocks`` yields each block of the run as :func:`_drawn` does. Each
+    runner advances through a block in roster order, the gated one where
+    its first entry stands, and its entries are evaluated: the SINR and the
+    constraint error in one batch for the snapshots where the entry updated
+    or an epoch starts, carried forward in between. A runner reads the rows
+    and never writes them.
 
     Raises :class:`RunDivergedError` naming the entry and the first snapshot
     of a SINR, a bound or a constraint error that is not finite. A SINR
@@ -561,56 +587,52 @@ def _single_run(specs, gamma, scenario, rng, a0):
     upd_arr = np.zeros((n_alg, n), dtype=bool)
     cons_err = np.zeros(n_alg)
     current = np.full(n_alg, math.nan)
-    snapshots = SnapshotBlock(scenario, _BLOCK, rng)
-    starts = [start for start, _ in scenario.epochs] + [n + 1]
 
-    for start, stop in zip(starts, starts[1:]):
-        des_cov = desired_covariance(scenario, start)
-        int_cov = interference_covariance(scenario, start)
-        for first in range(start, stop, _BLOCK):
-            count = min(_BLOCK, stop - first)
-            for i in range(first, first + count):
-                generate_snapshot(scenario, i, rng, snapshots)
-            rows = snapshots.form()
-            cols = slice(first - 1, first - 1 + count)
-            upd, dlt = upd_arr[:, cols], delta_arr[:, cols]
-            for runner in runners:
-                runner.run(rows, first, upd, dlt)
-                for j, w_rows in zip(runner.roster, runner.w_out):
-                    label = specs[j].label
-                    fresh = upd[j].copy()
-                    fresh[0] |= first == start
-                    idx = np.flatnonzero(fresh)
-                    vals = sinr_linear(w_rows[idx], des_cov, int_cov)
-                    bad = ~np.isfinite(vals)
-                    if bad.any():
-                        b = np.argmax(bad)
-                        finite = np.isfinite(w_rows[idx[b]].view(float)).all()
-                        what = _NONPOSITIVE if finite and np.isnan(vals[b]) else "non-finite sinr"
-                        raise _diverged(what, label, first + idx[b])
-                    bad = ~np.isfinite(dlt[j])
-                    if bad.any():
-                        raise _diverged("non-finite bound", label, first + np.argmax(bad))
-                    errs = constraint_error_rows(w_rows[idx], a0, gamma)
-                    bad = ~np.isfinite(errs)
-                    if bad.any():
-                        raise _diverged("non-finite weights", label, first + idx[np.argmax(bad)])
-                    cons_err[j] = np.fmax.reduce(errs, initial=cons_err[j])
-                    filled = np.concatenate(([current[j]], vals))[np.cumsum(fresh)]
-                    sinr_lin[j, cols] = filled
-                    current[j] = filled[-1]
+    for start, first, rows in blocks:
+        if first == start:
+            des_cov = desired_covariance(scenario, start)
+            int_cov = interference_covariance(scenario, start)
+        count = len(rows)
+        cols = slice(first - 1, first - 1 + count)
+        upd, dlt = upd_arr[:, cols], delta_arr[:, cols]
+        for runner in runners:
+            runner.run(rows, first, upd, dlt)
+            for j, w_rows in zip(runner.roster, runner.w_out):
+                label = specs[j].label
+                fresh = upd[j].copy()
+                fresh[0] |= first == start
+                idx = np.flatnonzero(fresh)
+                vals = sinr_linear(w_rows[idx], des_cov, int_cov)
+                bad = ~np.isfinite(vals)
+                if bad.any():
+                    b = np.argmax(bad)
+                    finite = np.isfinite(w_rows[idx[b]].view(float)).all()
+                    what = _NONPOSITIVE if finite and np.isnan(vals[b]) else "non-finite sinr"
+                    raise _diverged(what, label, first + idx[b])
+                bad = ~np.isfinite(dlt[j])
+                if bad.any():
+                    raise _diverged("non-finite bound", label, first + np.argmax(bad))
+                errs = constraint_error_rows(w_rows[idx], a0, gamma)
+                bad = ~np.isfinite(errs)
+                if bad.any():
+                    raise _diverged("non-finite weights", label, first + idx[np.argmax(bad)])
+                cons_err[j] = np.fmax.reduce(errs, initial=cons_err[j])
+                filled = np.concatenate(([current[j]], vals))[np.cumsum(fresh)]
+                sinr_lin[j, cols] = filled
+                current[j] = filled[-1]
     return sinr_lin, delta_arr, upd_arr, cons_err
 
 
-def _run(config, k, roster):
+def _run(config, k, roster, source=_drawn):
     """Run ``k`` of ``config`` for the roster entries ``roster``: their rows of
-    ``(sinr_lin, delta_arr, upd_arr, cons_err)``, from a generator of its own."""
+    ``(sinr_lin, delta_arr, upd_arr, cons_err)``, from a generator of its own.
+    ``source(scenario, rng)`` yields the run's blocks, drawn here by default."""
     rng = np.random.default_rng(config.master_seed ^ k)
     scenario = build_scenario(config, rng)
     a0 = steering_vector(scenario.geometry, scenario.desired_doa_deg)
     specs = [config.algorithms[j] for j in roster]
     try:
-        return _single_run(specs, config.gamma, scenario, rng, a0)
+        return _single_run(specs, config.gamma, scenario, source(scenario, rng), a0)
     except RunDivergedError as exc:
         raise RunDivergedError(f"run {k}: {exc}") from exc
 
@@ -618,6 +640,11 @@ def _run(config, k, roster):
 # Cost of an entry per snapshot by kind, in microseconds at m = 16 (a
 # 2-core x86 host, fig5, fig6 and fig9 at one run; SINR scoring included).
 # A gated row costs 2-31 us as its gate accepts 5-100 % of the snapshots.
+# A split run's first group also draws and forms the blocks, about 2.5 us
+# per snapshot, which the other groups no longer pay. Timed alone on blocks
+# drawn beforehand, so without the draw: cg 23.4, rls 10.1, sg 5.5, and a
+# gated row 1.6-30.6 us as its gate accepts 1-100 %. The table is left as
+# it was, and so is every split.
 _COST = {"cg": 24.0, "rls": 10.0, "smcg": 10.0, "sg": 6.0, "mvdr": 0.0}
 
 
@@ -677,12 +704,95 @@ def _fork_context():
     return multiprocessing.get_context("fork")
 
 
-def _serve(sender, config, units) -> None:
+# Blocks a split run's ring holds: 8 x _BLOCK x m complex values, 0.5 MB at
+# m = 16. The drawer waits for a slot only when a reader is a whole ring
+# behind, so a reader's start-up lag after the fork (a few blocks at most)
+# never holds it up.
+_RING = 8
+
+
+def _count(fd: int, have: int, want: int) -> int:
+    """Read one-byte messages from ``fd`` until ``want`` have come in all,
+    ``have`` of them so far; the new total. EOF means the process at the
+    other end is gone, and raises :class:`EOFError`."""
+    while have < want:
+        got = len(os.read(fd, _RING + 1))
+        if not got:
+            raise EOFError("the process at the other end of a snapshot stream ended")
+        have += got
+    return have
+
+
+class _Stream:
+    """The snapshot blocks of one split run, drawn once and read by every group.
+
+    The process of the run's first group (0) draws and forms each block,
+    copies it into slot ``b mod _RING`` of a ring held in an anonymous
+    shared ``mmap``, and then advances its own group on it; the processes
+    of the other groups (1, 2, ...) read it there. Per reader, one pipe
+    carries a byte for each block published and another a byte for each
+    block read, and a slot is written again only once every reader has read
+    the block it held. Made before the fork; each pipe end is kept open only
+    in its own process (:meth:`ends`), so a partner that ends is seen as EOF
+    (:class:`EOFError`) or as ``EPIPE`` (:class:`BrokenPipeError`).
+    """
+
+    def __init__(self, m: int, readers: int, held: set[int]) -> None:
+        """Add each pipe end to ``held`` as it is made, for the caller to close."""
+        import mmap  # paid only where a run is split
+
+        ring = mmap.mmap(-1, _RING * _BLOCK * m * np.dtype(complex).itemsize)
+        self.ring = np.frombuffer(ring, complex).reshape(_RING, _BLOCK, m)
+        self.ready, self.released = [], []
+        for _ in range(readers):
+            for pipes in (self.ready, self.released):
+                pipes.append(os.pipe())
+                held.update(pipes[-1])
+
+    def ends(self, group: int) -> list[int]:
+        """The pipe ends that the process of ``group`` keeps."""
+        if group == 0:
+            return [w for _, w in self.ready] + [r for r, _ in self.released]
+        return [self.ready[group - 1][0], self.released[group - 1][1]]
+
+    def source(self, group: int):
+        """The block source of ``group``, for :func:`_run`."""
+        return self._publish if group == 0 else lambda scenario, rng: self._receive(group, scenario)
+
+    def _publish(self, scenario, rng):
+        published = [w for _, w in self.ready]
+        released = [r for r, _ in self.released]
+        counts = [0] * len(released)
+        for b, (start, first, rows) in enumerate(_drawn(scenario, rng)):
+            for c, fd in enumerate(released):  # slot b mod _RING last held block b - _RING
+                counts[c] = _count(fd, counts[c], b - _RING + 1)
+            self.ring[b % _RING, : len(rows)] = rows
+            for fd in published:
+                os.write(fd, b"\0")
+            yield start, first, rows
+
+    def _receive(self, group: int, scenario):
+        published, released = self.ready[group - 1][0], self.released[group - 1][1]
+        ring = self.ring.view()
+        ring.flags.writeable = False
+        layout = list(_blocks(scenario))
+        count = 0
+        for b, (start, first, size) in enumerate(layout):
+            if 0 < b <= len(layout) - _RING:  # done with b - 1; no wait on the last _RING
+                os.write(released, b"\0")
+            count = _count(published, count, b + 1)
+            yield start, first, ring[b % _RING, :size]
+
+
+def _serve(sender, config, units, inherited) -> None:
     """A forked worker's share: each unit's rows in order, up to ``None`` for
-    the first that fails, which the parent then runs itself."""
-    for k, roster in units:
+    the first that fails, which the parent then runs itself. The pipe ends
+    ``inherited`` belong to other processes and are closed first."""
+    for fd in inherited:
+        os.close(fd)
+    for unit in units:
         try:
-            part = _run(config, k, roster)
+            part = _run(config, *unit)
         except Exception:
             part = None
         sender.send(part)
@@ -695,42 +805,62 @@ def _forked(config, context, count, groups):
     and ``count - 1`` forked workers; return the first run left to run here.
 
     Unit ``u`` of ``(run, group)`` pairs in run order, then group order, is
-    worked out by process ``u mod count``, this one being process 0. The
-    groups' rows are merged in roster order. A unit that fails stops the
-    workers; this process then runs that run itself with the full roster,
-    unless its own whole-run unit failed, whose error is raised as it is.
-    No worker outlives the call.
+    worked out by process ``u mod count``, this one being process 0. A run
+    split into groups streams its blocks from its first group's process to
+    the others (:class:`_Stream`); so that the streams cannot wait on each
+    other, each process works out its units in order, and this one its own
+    unit of a run before it takes the others' rows. The groups' rows are
+    merged in roster order. A unit that fails stops the workers; this
+    process then runs that run itself with the full roster, unless its own
+    whole-run unit failed, whose error is raised as it is. No worker and no
+    pipe end outlives the call.
     """
-    units = [(k, roster) for k in range(config.runs) for roster in groups]
+    split = len(groups) > 1
+    units, ends, held = [], [set() for _ in range(count)], set()  # held: open here
     workers, pipes = [], []
     try:
         try:
+            for k in range(config.runs):
+                stream = _Stream(config.m, len(groups) - 1, held) if split else None
+                for g, roster in enumerate(groups):
+                    if split:
+                        ends[len(units) % count].update(stream.ends(g))
+                    units.append((k, roster, stream.source(g) if split else _drawn))
             for share in range(1, count):
                 receiver, sender = context.Pipe(duplex=False)
                 pipes.append(receiver)
                 worker = context.Process(
-                    target=_serve, args=(sender, config, units[share::count]), daemon=True
+                    target=_serve,
+                    args=(sender, config, units[share::count], held - ends[share]),
+                    daemon=True,
                 )
                 try:
                     worker.start()
                 finally:
                     sender.close()
+                    for fd in ends[share]:
+                        os.close(fd)
+                    held -= ends[share]
                 workers.append(worker)
-        except OSError:  # no process could be forked
+        except OSError:  # no pipe, ring or process could be made
             return 0
         for k in range(config.runs):
-            parts = []
-            for u in range(k * len(groups), (k + 1) * len(groups)):
-                share = u % count
+            first = k * len(groups)
+            parts = [None] * len(groups)
+            for g in sorted(range(len(groups)), key=lambda g: (first + g) % count != 0):
+                share = (first + g) % count
                 try:
-                    parts.append(_run(config, *units[u]) if share == 0 else pipes[share - 1].recv())
-                except Exception:  # here, or EOFError from a worker that died
-                    if share == 0 and len(groups) == 1:
+                    if share == 0:
+                        parts[g] = _run(config, *units[first + g])
+                    else:
+                        parts[g] = pipes[share - 1].recv()
+                except Exception:  # here, EOFError or EPIPE from a stream, or a worker that died
+                    if share == 0 and not split:
                         raise
                     return k
-                if parts[-1] is None:
+                if parts[g] is None:
                     return k
-            if len(parts) == 1:
+            if not split:
                 yield parts[0]
                 continue
             merged = [np.empty((len(config.algorithms), *a.shape[1:]), a.dtype) for a in parts[0]]
@@ -743,8 +873,11 @@ def _forked(config, context, count, groups):
         for worker in workers:
             worker.terminate()
             worker.join()
+            worker.close()
         for receiver in pipes:
             receiver.close()
+        for fd in held:
+            os.close(fd)
 
 
 def _runs(config, workers):
@@ -762,8 +895,10 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> Aggr
 
     ``workers`` processes share the runs, this one and forked workers: by
     default as many as there are usable CPUs, at most one per work unit (a
-    run, or a group of a run's roster, see :func:`_plan`). The results are
-    those of one process bit for bit. It runs in this process alone where
+    run, or a group of a run's roster, see :func:`_plan`). A run split into
+    groups is drawn once, by its first group's process, which streams each
+    formed block to the others (:class:`_Stream`). The results are those of
+    one process bit for bit. It runs in this process alone where
     ``workers`` is 1, where there is one unit, and where
     :func:`_fork_context` finds no fork. A split spends more CPU in all than
     one process, so callers that already run experiments side by side
