@@ -97,9 +97,15 @@ def _cmd_run(args) -> int:
     out_dir = Path(args.out or _default_out())
     _make_dir(out_dir)
     jobs = [(config, out_dir / f"{config.label}.csv") for config in _resolve_configs(args)]
-    for _, path in jobs:
+    paths = [path for _, path in jobs]
+    for config, path in jobs:
         if path.is_dir():
             raise ConfigError(f"--out: cannot write the CSV {str(path)!r}: it is a directory")
+        if paths.count(path) > 1:
+            raise ConfigError(
+                f"run.label {config.label!r} is given to {paths.count(path)} experiments, "
+                f"which would each write {str(path)!r}"
+            )
     for config, path in jobs:
         result = run_experiment(config, workers=args.workers)
         emit_csv(result, path)

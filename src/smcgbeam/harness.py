@@ -44,17 +44,17 @@ this process and forked workers: a unit is run ``k`` for one group of the
 roster, the whole roster while there are at least as many runs as
 processes. Each unit seeds run ``k``'s generator itself and draws the
 scenario, and advances only its group's entries; a gated stack may be
-split, since each of its rows is bit for bit the lone filter. A whole-run
-unit draws its snapshots too. Of a split run, only the unit of the first
-group draws: block by block, it draws and forms a block, copies it into a
-bounded ring shared with the run's other units, and then advances its own
-group on it; the others read each block from the ring. The rows come back
-to this process, which merges them by roster index and accumulates the
-runs in run order, so every sum is formed as in one process and the CSV is
-byte-identical for any ``workers``. If a unit fails, or the process at the
-other end of its ring ends, the workers are stopped and run ``k`` is run
-again here with the whole roster, which raises the one-process error with
-its cause chain.
+split, since each of its rows is bit for bit the lone filter. Only the unit
+of a run's first group draws the snapshots: block by block, it draws and
+forms a block, sends it down a pipe to each of the run's other units, and
+then advances its own group on it; the others receive each block from
+their pipe. A whole run is the case of one group, with no pipe. The rows
+come back to this process, which merges them by roster index and
+accumulates the runs in run order, so every sum is formed as in one
+process and the CSV is byte-identical for any ``workers``. If a unit
+fails, or the process at the other end of its pipe ends, the workers are
+stopped and run ``k`` is run again here with the whole roster, which
+raises the one-process error with its cause chain.
 """
 
 from __future__ import annotations
@@ -67,6 +67,7 @@ import os
 import threading
 from contextlib import closing
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from numbers import Integral, Real
 
 import numpy as np
@@ -549,15 +550,30 @@ def _blocks(scenario):
             yield start, first, min(_BLOCK, stop - first)
 
 
-def _drawn(scenario, rng):
+def _drawn(scenario, rng, senders=()):
     """``(epoch start, first snapshot, rows)`` of each block of a run, drawn
     from ``rng`` one ``generate_snapshot`` call per snapshot and formed at
-    once; the rows are a view that the next block overwrites."""
+    once; the rows are a view that the next block overwrites. Each block is
+    sent down every pipe of ``senders`` first, which waits while a pipe is
+    full."""
     snapshots = SnapshotBlock(scenario, _BLOCK, rng)
     for start, first, count in _blocks(scenario):
         for i in range(first, first + count):
             generate_snapshot(scenario, i, rng, snapshots)
-        yield start, first, snapshots.form()
+        rows = snapshots.form()
+        for sender in senders:
+            sender.send_bytes(rows)
+        yield start, first, rows
+
+
+def _received(receiver, scenario, rng):
+    """The blocks of a run as :func:`_drawn` yields them, each received from
+    the pipe ``receiver`` into a buffer of this run's; nothing is drawn from
+    ``rng``. A drawer that ends raises :class:`EOFError`."""
+    rows = np.empty((_BLOCK, scenario.geometry.n_sensors), dtype=complex)
+    for start, first, count in _blocks(scenario):
+        receiver.recv_bytes_into(memoryview(rows[:count]).cast("B"))
+        yield start, first, rows[:count]
 
 
 def _single_run(specs, gamma, scenario, blocks, a0):
@@ -704,92 +720,12 @@ def _fork_context():
     return multiprocessing.get_context("fork")
 
 
-# Blocks a split run's ring holds: 8 x _BLOCK x m complex values, 0.5 MB at
-# m = 16. The drawer waits for a slot only when a reader is a whole ring
-# behind, so a reader's start-up lag after the fork (a few blocks at most)
-# never holds it up.
-_RING = 8
-
-
-def _count(fd: int, have: int, want: int) -> int:
-    """Read one-byte messages from ``fd`` until ``want`` have come in all,
-    ``have`` of them so far; the new total. EOF means the process at the
-    other end is gone, and raises :class:`EOFError`."""
-    while have < want:
-        got = len(os.read(fd, _RING + 1))
-        if not got:
-            raise EOFError("the process at the other end of a snapshot stream ended")
-        have += got
-    return have
-
-
-class _Stream:
-    """The snapshot blocks of one split run, drawn once and read by every group.
-
-    The process of the run's first group (0) draws and forms each block,
-    copies it into slot ``b mod _RING`` of a ring held in an anonymous
-    shared ``mmap``, and then advances its own group on it; the processes
-    of the other groups (1, 2, ...) read it there. Per reader, one pipe
-    carries a byte for each block published and another a byte for each
-    block read, and a slot is written again only once every reader has read
-    the block it held. Made before the fork; each pipe end is kept open only
-    in its own process (:meth:`ends`), so a partner that ends is seen as EOF
-    (:class:`EOFError`) or as ``EPIPE`` (:class:`BrokenPipeError`).
-    """
-
-    def __init__(self, m: int, readers: int, held: set[int]) -> None:
-        """Add each pipe end to ``held`` as it is made, for the caller to close."""
-        import mmap  # paid only where a run is split
-
-        ring = mmap.mmap(-1, _RING * _BLOCK * m * np.dtype(complex).itemsize)
-        self.ring = np.frombuffer(ring, complex).reshape(_RING, _BLOCK, m)
-        self.ready, self.released = [], []
-        for _ in range(readers):
-            for pipes in (self.ready, self.released):
-                pipes.append(os.pipe())
-                held.update(pipes[-1])
-
-    def ends(self, group: int) -> list[int]:
-        """The pipe ends that the process of ``group`` keeps."""
-        if group == 0:
-            return [w for _, w in self.ready] + [r for r, _ in self.released]
-        return [self.ready[group - 1][0], self.released[group - 1][1]]
-
-    def source(self, group: int):
-        """The block source of ``group``, for :func:`_run`."""
-        return self._publish if group == 0 else lambda scenario, rng: self._receive(group, scenario)
-
-    def _publish(self, scenario, rng):
-        published = [w for _, w in self.ready]
-        released = [r for r, _ in self.released]
-        counts = [0] * len(released)
-        for b, (start, first, rows) in enumerate(_drawn(scenario, rng)):
-            for c, fd in enumerate(released):  # slot b mod _RING last held block b - _RING
-                counts[c] = _count(fd, counts[c], b - _RING + 1)
-            self.ring[b % _RING, : len(rows)] = rows
-            for fd in published:
-                os.write(fd, b"\0")
-            yield start, first, rows
-
-    def _receive(self, group: int, scenario):
-        published, released = self.ready[group - 1][0], self.released[group - 1][1]
-        ring = self.ring.view()
-        ring.flags.writeable = False
-        layout = list(_blocks(scenario))
-        count = 0
-        for b, (start, first, size) in enumerate(layout):
-            if 0 < b <= len(layout) - _RING:  # done with b - 1; no wait on the last _RING
-                os.write(released, b"\0")
-            count = _count(published, count, b + 1)
-            yield start, first, ring[b % _RING, :size]
-
-
 def _serve(sender, config, units, inherited) -> None:
     """A forked worker's share: each unit's rows in order, up to ``None`` for
     the first that fails, which the parent then runs itself. The pipe ends
     ``inherited`` belong to other processes and are closed first."""
-    for fd in inherited:
-        os.close(fd)
+    for end in inherited:
+        end.close()
     for unit in units:
         try:
             part = _run(config, *unit)
@@ -805,27 +741,35 @@ def _forked(config, context, count, groups):
     and ``count - 1`` forked workers; return the first run left to run here.
 
     Unit ``u`` of ``(run, group)`` pairs in run order, then group order, is
-    worked out by process ``u mod count``, this one being process 0. A run
-    split into groups streams its blocks from its first group's process to
-    the others (:class:`_Stream`); so that the streams cannot wait on each
+    worked out by process ``u mod count``, this one being process 0. The
+    unit of a run's first group draws its blocks and sends each down a pipe
+    to each of the run's other units (:func:`_drawn`, :func:`_received`);
+    a run of one group has no pipe. So that the pipes cannot wait on each
     other, each process works out its units in order, and this one its own
     unit of a run before it takes the others' rows. The groups' rows are
-    merged in roster order. A unit that fails stops the workers; this
-    process then runs that run itself with the full roster, unless its own
-    whole-run unit failed, whose error is raised as it is. No worker and no
-    pipe end outlives the call.
+    merged in roster order. A unit that fails stops the workers, and this
+    process then runs that run itself with the full roster. No worker and
+    no pipe end outlives the call.
     """
-    split = len(groups) > 1
     units, ends, held = [], [set() for _ in range(count)], set()  # held: open here
     workers, pipes = [], []
     try:
         try:
             for k in range(config.runs):
-                stream = _Stream(config.m, len(groups) - 1, held) if split else None
-                for g, roster in enumerate(groups):
-                    if split:
-                        ends[len(units) % count].update(stream.ends(g))
-                    units.append((k, roster, stream.source(g) if split else _drawn))
+                links = []  # a pipe from the run's drawer to each other group
+                for _ in groups[1:]:
+                    # Duplex, so a socket pair: it holds three blocks at m = 16
+                    # (about 228 KiB on Linux), where a one-way pipe's 64 KiB
+                    # is 4 bytes short of one block and its header, and so
+                    # holds the drawer at each block until the reader wakes.
+                    links.append(context.Pipe())
+                    held.update(links[-1])
+                senders = [sender for _, sender in links]
+                sources = [(partial(_drawn, senders=senders), senders)]
+                sources += [(partial(_received, receiver), [receiver]) for receiver, _ in links]
+                for roster, (source, kept) in zip(groups, sources):
+                    ends[len(units) % count].update(kept)
+                    units.append((k, roster, source))
             for share in range(1, count):
                 receiver, sender = context.Pipe(duplex=False)
                 pipes.append(receiver)
@@ -838,11 +782,11 @@ def _forked(config, context, count, groups):
                     worker.start()
                 finally:
                     sender.close()
-                    for fd in ends[share]:
-                        os.close(fd)
+                    for end in ends[share]:
+                        end.close()
                     held -= ends[share]
                 workers.append(worker)
-        except OSError:  # no pipe, ring or process could be made
+        except OSError:  # no pipe or process could be made
             return 0
         for k in range(config.runs):
             first = k * len(groups)
@@ -850,19 +794,11 @@ def _forked(config, context, count, groups):
             for g in sorted(range(len(groups)), key=lambda g: (first + g) % count != 0):
                 share = (first + g) % count
                 try:
-                    if share == 0:
-                        parts[g] = _run(config, *units[first + g])
-                    else:
-                        parts[g] = pipes[share - 1].recv()
-                except Exception:  # here, EOFError or EPIPE from a stream, or a worker that died
-                    if share == 0 and not split:
-                        raise
+                    parts[g] = pipes[share - 1].recv() if share else _run(config, *units[first + g])
+                except Exception:  # here, EOFError or EPIPE from a pipe, or a worker that died
                     return k
                 if parts[g] is None:
                     return k
-            if not split:
-                yield parts[0]
-                continue
             merged = [np.empty((len(config.algorithms), *a.shape[1:]), a.dtype) for a in parts[0]]
             for roster, part in zip(groups, parts):
                 for whole, rows in zip(merged, part):
@@ -876,8 +812,8 @@ def _forked(config, context, count, groups):
             worker.close()
         for receiver in pipes:
             receiver.close()
-        for fd in held:
-            os.close(fd)
+        for end in held:
+            end.close()
 
 
 def _runs(config, workers):
@@ -896,12 +832,12 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> Aggr
     ``workers`` processes share the runs, this one and forked workers: by
     default as many as there are usable CPUs, at most one per work unit (a
     run, or a group of a run's roster, see :func:`_plan`). A run split into
-    groups is drawn once, by its first group's process, which streams each
-    formed block to the others (:class:`_Stream`). The results are those of
-    one process bit for bit. It runs in this process alone where
-    ``workers`` is 1, where there is one unit, and where
-    :func:`_fork_context` finds no fork. A split spends more CPU in all than
-    one process, so callers that already run experiments side by side
+    groups is drawn once, by its first group's process, which sends each
+    formed block down a pipe to the others (:func:`_forked`). The results
+    are those of one process bit for bit. It runs in this process alone
+    where ``workers`` is 1, where there is one unit, and where
+    :func:`_fork_context` finds no fork. A split spends more CPU in all
+    than one process, so callers that already run experiments side by side
     should pass 1.
 
     Raises :class:`RunDivergedError` in the block where a run diverges or
@@ -1204,9 +1140,15 @@ def sections_to_config(sections: dict[str, dict[str, str]]) -> ExperimentConfig:
 
 
 def load_config_file(path) -> ExperimentConfig:
-    """Read one experiment configuration from a flat key/value file."""
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    """Read one experiment configuration from a flat key/value file of UTF-8
+    text. Its values are taken as written, ``%`` included."""
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except configparser.Error as exc:  # its message names the file and the line
+        raise ConfigError(" ".join(str(exc).split())) from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path!r} is not UTF-8 text: {exc}") from exc
     if not read:
         raise ConfigError(f"config file {path!r} not found or unreadable")
     sections = {name: dict(parser.items(name)) for name in parser.sections()}

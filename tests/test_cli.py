@@ -237,6 +237,58 @@ class TestRun:
         assert f"error: m = {2**63 - 1} gives no steering vector" in capsys.readouterr().err
         assert not (tmp_path / "bigm.csv").exists()
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (b"[run]\nruns = 1\nruns = 2\n", "[line 3]: option 'runs' in section 'run' already"),
+            (b"[run]\nruns = 1\n[run]\n", "[line 3]: section 'run' already exists"),
+            (b"runs = 1\n[run]\n", "File contains no section headers. file: '{ini}', line: 1"),
+            (b"[run]\nlabel = \xff\n", "config file '{ini}' is not UTF-8 text"),
+        ],
+        ids=["repeated-key", "repeated-section", "line-before-any-header", "not-utf-8"],
+    )
+    def test_config_file_that_does_not_parse_exits_2_naming_it(
+        self, tmp_path, capsys, text, message
+    ):
+        ini = tmp_path / "bad.ini"
+        ini.write_bytes(text)
+        rc = main(["run", "--config", str(ini), "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert message.format(ini=ini) in err and str(ini) in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.rglob("*.csv"))
+
+    def test_percent_in_a_config_file_is_literal(self, tmp_path, capsys):
+        """A config file's values are read as ``--set`` reads them."""
+        sections = {
+            "run": {"label": "fig4", "runs": "1"},
+            "scenario": {"m": "4", "epochs": "1:3", "n_snapshots": "20"},
+            "algo:mvdr": {"kind": "mvdr"},
+        }
+        ini, pct = tmp_path / "fig4.ini", tmp_path / "pct.ini"
+        write_ini(ini, sections)
+        pct.write_text(ini.read_text().replace("label = fig4", "label = 5%"))
+        assert main(["run", "--config", str(pct), "--out", str(tmp_path / "file")]) == 0
+        rc = main(["run", "--config", str(ini), "--out", str(tmp_path / "set"),
+                   "--set", "run.label=5%"])
+        assert rc == 0
+        capsys.readouterr()
+        written = (tmp_path / "file" / "5%.csv").read_bytes()
+        assert written == (tmp_path / "set" / "5%.csv").read_bytes()
+
+    def test_one_label_for_a_sweep_exits_2_before_running(self, tmp_path, capsys, monkeypatch):
+        """Each of fig8's 7 experiments would write, over the last, ``x.csv``."""
+        ran = []
+        monkeypatch.setattr("smcgbeam.cli.run_experiment", lambda *args, **kw: ran.append(args))
+        rc = main(["run", "--preset", "fig8", "--runs", "1", "--out", str(tmp_path),
+                   "--set", "scenario.n_snapshots=3", "--set", "run.label=x"])
+        assert rc == 2
+        path = str(tmp_path / "x.csv")
+        want = f"run.label 'x' is given to 7 experiments, which would each write {path!r}"
+        assert f"error: {want}" in capsys.readouterr().err
+        assert ran == [] and not list(tmp_path.rglob("*.csv"))
+
     def test_one_sensor_exits_2_naming_the_entry(self, tmp_path, capsys):
         rc = main(
             [

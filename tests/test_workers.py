@@ -6,12 +6,13 @@ others. So a run's roster may be split into groups that run in different
 processes, and runs may go to different processes, with the results of one
 process. Each test pins its usable CPUs, so it splits the same way on any
 host. A split run's blocks are drawn once, by its first group's process,
-and streamed to the others.
+and sent down a pipe to each of the others.
 """
 
 import multiprocessing
 import os
 import signal
+import socket
 import threading
 from collections import Counter
 from contextlib import contextmanager
@@ -84,10 +85,17 @@ def _same_results(config, tmp_path, workers=2) -> int:
     return len(harness._plan(config, workers)[1])
 
 
-def test_one_run_of_fig6_split_by_roster(two_cpus, tmp_path):
+def test_one_run_of_fig6_split_by_roster(two_cpus, monkeypatch, tmp_path):
+    """Also at m = 64 on 2 and 3 CPUs: a block is then 256 KiB, more than
+    the drawer's pipe to a reader holds (about 228 KiB on Linux), so a send
+    that waits for the reader does so in the middle of a block."""
     (fig6,) = preset("fig6", runs=1)
     assert _same_results(replace(fig6, n_snapshots=600), tmp_path) == 2
     assert len(two_cpus) == 1
+    for cpus in (2, 3):
+        monkeypatch.setattr(harness, "_cpus", lambda: cpus)
+        assert _same_results(replace(fig6, m=64, n_snapshots=600), tmp_path, cpus) == cpus
+    assert len(two_cpus) == 1 + 1 + 2
 
 
 def test_fig5_with_its_gated_stack_split(two_cpus, tmp_path):
@@ -113,7 +121,8 @@ def test_three_runs_split_by_run(two_cpus, tmp_path):
     assert len(two_cpus) == 1
 
 
-# Runs of more blocks than the ring holds, so that its slots are reused.
+# Runs of 11 blocks, more than a drawer's pipe to a reader holds (three at
+# m = 16), so a drawer that runs ahead waits on a full pipe.
 _LONG = {
     "fig6": dict(n_snapshots=2600),
     "fig9": dict(n_snapshots=2700, epochs=((1, 8), (1300, 12))),
@@ -266,11 +275,12 @@ def _poison_run_1(monkeypatch, config, label, snapshot):
 def test_a_stream_partner_that_ends_is_seen(monkeypatch, cpus, runs, label, snapshot, reader):
     """fig6 over 11 blocks; run 1's ``sg`` (a reader's group) or ``cg`` (the
     drawer's) diverges, and its process ends. At 4 CPUs and 3 runs, run 1's
-    drawer is worker 2, which fills the ring and then waits on a release
-    from the reader, worker 3; worker 1 lives on into run 2. At 3 CPUs and 2
-    runs, worker 2 draws run 1 and this process reads it. Every pipe end is
-    open only in its two processes, so each wait ends at EOF, and the run
-    is run again here, with the message and the cause chain of one process.
+    drawer is worker 2, which sends its blocks to the reader, worker 3, and
+    waits once the pipe is full; worker 1 lives on into run 2. At 3 CPUs and
+    2 runs, worker 2 draws run 1 and this process reads it. Every pipe end
+    is open only in its two processes, so a receive ends at EOF and a send
+    fails with EPIPE, and the run is run again here, with the message and
+    the cause chain of one process.
     """
     monkeypatch.setattr(harness, "_cpus", lambda: cpus)
     (fig6,) = preset("fig6", runs=runs)
@@ -342,26 +352,27 @@ def test_wrapped_run_experiment_forks_nothing(monkeypatch):
 
 
 def test_a_stream_that_cannot_be_made_runs_here(monkeypatch, tmp_path):
-    """fig6 at one run and 4 CPUs needs 3 readers, 6 pipes; the fourth fails
-    as at the descriptor limit. The ends already made are closed, and the
-    experiment runs in this process."""
+    """fig6 at one run and 4 CPUs needs 3 readers, and a pipe to each, a
+    socket pair, before any worker's result pipe; the third fails as at the
+    descriptor limit. The ends already made are closed, and the experiment
+    runs in this process."""
     monkeypatch.setattr(harness, "_cpus", lambda: 4)
-    made, pipe = [], os.pipe
+    made, socketpair = [], socket.socketpair
 
-    def failing_pipe():
-        if len(made) == 3:
+    def failing_socketpair(*args):
+        if len(made) == 2:
             raise OSError(24, "Too many open files")
-        made.append(pipe())
+        made.append(socketpair(*args))
         return made[-1]
 
     (fig6,) = preset("fig6", runs=1)
     config = replace(fig6, n_snapshots=300)
     serial = run_experiment(config, workers=1)
     fds = _fds()
-    monkeypatch.setattr(harness.os, "pipe", failing_pipe)
+    monkeypatch.setattr(socket, "socketpair", failing_socketpair)
     forked = run_experiment(config)
     monkeypatch.undo()
-    assert len(made) == 3 and _fds() == fds
+    assert len(made) == 2 and _fds() == fds
     assert forked.mean_sinr_db["smcg"].tobytes() == serial.mean_sinr_db["smcg"].tobytes()
     assert multiprocessing.active_children() == []
 
