@@ -112,10 +112,15 @@ class ConstrainedRls:
         self._inv = np.eye(steering.size, dtype=complex) / inv_init
         self.w = self.gamma * steering / norm_sq
         # per-block buffers, grown to the longest block seen, and per-row ones
-        self._invs = np.empty((0,) + self._inv.shape, dtype=complex)
-        self._ws = np.empty((0, steering.size), dtype=complex)
-        self._outer = np.empty_like(self._inv)
-        self._half = np.empty_like(self._inv)
+        m = steering.size
+        self._invs = np.empty((0, m, m), dtype=complex)
+        self._ws = np.empty((0, m), dtype=complex)
+        self._qr = np.empty(m, dtype=complex)
+        self._gain = np.empty((m, 1), dtype=complex)
+        self._qc = np.empty(m, dtype=complex)
+        self._outer = np.empty((m, m), dtype=complex)
+        self._half = np.empty((m, m), dtype=complex)
+        self._hc = np.empty((m, m), dtype=complex)
 
     def step(self, rows: np.ndarray) -> np.ndarray:
         """Advance the estimate over one snapshot, or over each row of a block.
@@ -126,30 +131,44 @@ class ConstrainedRls:
         real ``lambda`` by multiplying each part by ``1 / lambda``, and
         halving is exact, so ``P / 2`` is formed as one multiply of the real
         parts by ``0.5 / lambda`` and ``Q`` as its sum with its conjugate
-        transpose; both round as the formula does. The weights after each
-        row are then formed for the whole block at once; they equal those
-        of one update at a time bit for bit. They are returned as a view of
-        a buffer that the next call overwrites.
+        transpose; both round as the formula does. Every product of a row
+        goes into a buffer made once, so a row allocates nothing. The
+        weights after each row are then formed for the whole block at once;
+        they equal those of one update at a time bit for bit. They are
+        returned as a view of a buffer that the next call overwrites.
 
-        Raises :class:`NonFiniteUpdate`, naming the first row whose update
-        is not finite, and then leaves the state as it was before the call.
+        Raises ``ValueError`` unless ``rows`` is one row or a block of rows
+        as wide as the steering vector, and :class:`NonFiniteUpdate`, naming
+        the first row whose update is not finite; either leaves the state as
+        it was before the call. A block of no rows changes nothing.
         """
         rows = np.atleast_2d(rows)
-        n, m = rows.shape
+        m = self.steering.size
+        if rows.ndim != 2 or rows.shape[1] != m:
+            raise ValueError(f"rows must be {m} wide and at most 2-D, got shape {rows.shape}")
+        n = len(rows)
+        if n == 0:
+            return np.empty((0, m), dtype=complex)
         if len(self._invs) < n:
             self._invs = np.empty((n, m, m), dtype=complex)
             self._ws = np.empty((n, m), dtype=complex)
         invs, ws, lam = self._invs[:n], self._ws[:n], self.forgetting
-        inv, outer, half = self._inv, self._outer, self._half
+        inv, qr, gain, qc = self._inv, self._qr, self._gain, self._qc
+        outer, half, hc = self._outer, self._half, self._hc
+        gain_v, hc_t = gain[:, 0], hc.T
         half_parts, scale = half.view(float), 0.5 / lam
+        # bound once: at m = 16 a row's nine small calls cost more than its arithmetic
+        matmul, vdot, divide, conjugate = np.matmul, np.vdot, np.divide, np.conjugate
+        multiply, subtract, add = np.multiply, np.subtract, np.add
         with np.errstate(all="ignore"):  # a non-finite tail is discarded below
-            for k, r in enumerate(rows):
-                qr = inv @ r
-                gain = qr / (lam + np.vdot(r, qr).real)
-                np.multiply(gain[:, None], qr.conj(), out=outer)
-                np.subtract(inv, outer, out=half)
-                np.multiply(half_parts, scale, out=half_parts)
-                inv = np.add(half, half.conj().T, out=invs[k])
+            for r, out in zip(rows, invs):
+                matmul(inv, r, qr)
+                divide(qr, lam + vdot(r, qr).real, gain_v)
+                multiply(gain, conjugate(qr, qc), outer)
+                subtract(inv, outer, half)
+                multiply(half_parts, scale, half_parts)
+                conjugate(half, hc)
+                inv = add(half, hc_t, out)
             finite = np.isfinite(invs.view(float)).reshape(n, -1).all(axis=1)
         if not finite.all():
             raise NonFiniteUpdate(int(np.argmin(finite)))

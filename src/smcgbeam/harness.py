@@ -659,8 +659,11 @@ def _run(config, k, roster, source=_drawn):
 # A split run's first group also draws and forms the blocks, about 2.5 us
 # per snapshot, which the other groups no longer pay. Timed alone on blocks
 # drawn beforehand, so without the draw: cg 23.4, rls 10.1, sg 5.5, and a
-# gated row 1.6-30.6 us as its gate accepts 1-100 %. The table is left as
-# it was, and so is every split.
+# gated row 1.6-30.6 us as its gate accepts 1-100 %. With the RLS row
+# update in preallocated buffers, rls reads 8.5-9.4 (fig9, fig6). The
+# table is left as it was, and so is every split: priced below smcg, rls
+# and mvdr would become fig9's cheapest group and so its drawer, and the
+# run's 15 ms of draw would join rls on fig9's critical path.
 _COST = {"cg": 24.0, "rls": 10.0, "smcg": 10.0, "sg": 6.0, "mvdr": 0.0}
 
 

@@ -126,6 +126,11 @@ class TestFrostSg:
             FrostSg(np.array([1.0, np.nan]))
 
 
+# The first snapshots of the blocks a run of 600 snapshots steps through,
+# and the end: a block boundary at 257, a scene change at 300.
+ENGINE_EDGES = (1, 257, 300, 301, 556, 601)
+
+
 class TestConstrainedRls:
     def test_tracks_direct_weighted_inverse(self):
         """Ten steps against an explicit weighted-covariance solve.
@@ -164,23 +169,26 @@ class TestConstrainedRls:
             algo.step(np.full(4, np.nan, dtype=complex))
 
     @pytest.mark.parametrize(
-        "gamma, forgetting, inv_init, m",
+        "gamma, forgetting, inv_init, m, edges",
         [
-            pytest.param(1.0, 0.998, 1e-2, 8, id="1.0-0.998-0.01"),
-            pytest.param(-3.0, 1.0, 2450.0, 8, id="-3.0-1.0-2450.0"),
-            pytest.param(1.0, 0.9, 1e-2, 8, id="forgetting0.9"),
-            pytest.param(1.0, 1.0, 1e-2, 8, id="forgetting1.0"),
-            pytest.param(1.0, 0.9, 1e-2, 2, id="m2"),
-            pytest.param(-3.0, 0.998, 2450.0, 64, id="m64"),
+            pytest.param(1.0, 0.998, 1e-2, 8, ENGINE_EDGES, id="1.0-0.998-0.01"),
+            pytest.param(-3.0, 1.0, 2450.0, 8, ENGINE_EDGES, id="-3.0-1.0-2450.0"),
+            pytest.param(1.0, 0.9, 1e-2, 8, ENGINE_EDGES, id="forgetting0.9"),
+            pytest.param(1.0, 1.0, 1e-2, 8, ENGINE_EDGES, id="forgetting1.0"),
+            pytest.param(1.0, 0.9, 1e-2, 2, ENGINE_EDGES, id="m2"),
+            pytest.param(-3.0, 0.998, 2450.0, 64, ENGINE_EDGES, id="m64"),
+            pytest.param(-3.0, 0.998, 2450.0, 8, (1, 2, 258, 263), id="growing"),
         ],
     )
-    def test_blocks_match_per_snapshot_reference(self, gamma, forgetting, inv_init, m):
+    def test_blocks_match_per_snapshot_reference(self, gamma, forgetting, inv_init, m, edges):
         """Block by block as the engine runs it, bit for bit with one update at a time.
 
-        The blocks split at 257 (a block boundary) and at 300, where the
-        scene gains interferers (at m = 2 it swaps its one interferer); a
-        one-row block is included. The reference divides by the forgetting
-        factor and halves the symmetrised sum in complex arithmetic.
+        The engine's blocks split at 257 (a block boundary) and at 300, where
+        the scene gains interferers (at m = 2 it swaps its one interferer); a
+        one-row block is included. The growing case steps 1 row, then 256,
+        then 5, so the block buffers grow after a first step. The reference
+        divides by the forgetting factor and halves the symmetrised sum in
+        complex arithmetic.
         """
         geometry = ArrayGeometry(m)
         desired, *interf = (Source(90.0, 10.0), Source(40.0, 1e3), Source(130.0, 1e3),
@@ -196,12 +204,41 @@ class TestConstrainedRls:
         a0 = steering_vector(geometry, 90.0)
         algo = ConstrainedRls(a0, gamma=gamma, forgetting=forgetting, inv_init=inv_init)
         expected = rls_reference(a0, rows, gamma, forgetting, inv_init)
-        for first, stop in ((1, 257), (257, 300), (300, 301), (301, 556), (556, 601)):
+        for first, stop in zip(edges, edges[1:]):
             for w in algo.step(rows[first - 1 : stop - 1]):
                 inv_ref, w_ref = next(expected)
                 assert w.tobytes() == w_ref.tobytes()
             assert algo._inv.tobytes() == inv_ref.tobytes()
             assert algo.w.tobytes() == w_ref.tobytes()
+
+    @pytest.mark.parametrize(
+        "rows",
+        [np.ones((2, 3), dtype=complex), np.ones(5, dtype=complex), np.ones((1, 2, 4), dtype=complex)],
+        ids=["narrow-block", "wide-row", "3-D"],
+    )
+    def test_refused_rows_leave_the_state_as_it_was(self, rows):
+        a0 = steering_vector(ArrayGeometry(4), 90.0)
+        rng = np.random.default_rng(4)
+        good = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+        algo, fresh = ConstrainedRls(a0), ConstrainedRls(a0)
+        with pytest.raises(ValueError, match="rows"):
+            algo.step(rows)
+        assert algo.step(good).tobytes() == fresh.step(good).tobytes()
+        assert algo._inv.tobytes() == fresh._inv.tobytes()
+
+    def test_no_rows_change_nothing(self):
+        a0 = steering_vector(ArrayGeometry(4), 90.0)
+        rng = np.random.default_rng(4)
+        good = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+        algo, fresh = ConstrainedRls(a0), ConstrainedRls(a0)
+        algo.step(good[:1])
+        inv, w = algo._inv.copy(), algo.w.copy()
+        ws = algo.step(np.empty((0, 4)))
+        assert ws.shape == (0, 4)
+        assert algo._inv.tobytes() == inv.tobytes()
+        assert algo.w.tobytes() == w.tobytes()
+        fresh.step(good[:1])
+        assert algo.step(good[1:]).tobytes() == fresh.step(good[1:]).tobytes()
 
     def test_first_nonfinite_row_is_named_and_state_kept(self):
         a0 = steering_vector(ArrayGeometry(4), 90.0)
