@@ -88,23 +88,21 @@ class Scenario:
         if self.n_snapshots < 1:
             raise ValueError("n_snapshots must be at least 1")
         if not self.epochs:
-            raise ValueError("at least one epoch is required")
+            raise ValueError("epochs must not be empty")
         starts = [start for start, _ in self.epochs]
         if starts[0] != 1:
-            raise ValueError("the first epoch must start at snapshot 1")
+            raise ValueError("epochs must start at snapshot 1")
         if any(b <= a for a, b in zip(starts, starts[1:])):
-            raise ValueError("epoch start indices must be strictly increasing")
+            raise ValueError("epochs starts must be strictly increasing")
         if starts[-1] > self.n_snapshots:
-            raise ValueError("epoch start index beyond n_snapshots")
+            raise ValueError("epochs start beyond n_snapshots")
         for start, sources in self.epochs:
             if not sources:
-                raise ValueError(f"epoch at {start} has no sources")
+                raise ValueError(f"epochs entry at {start} needs at least one source")
             if len(sources) > self.geometry.n_sensors:
-                raise ValueError(
-                    f"epoch at {start} has more sources than sensors"
-                )
+                raise ValueError(f"epochs entry at {start} has more sources than sensors")
             if sources[0].doa_deg != self.desired_doa_deg:
-                raise ValueError("desired arrival angle must not change")
+                raise ValueError(f"epochs entry at {start} moves the desired arrival angle")
         # generate_snapshot and the covariance helpers read these per
         # snapshot, so each epoch's tables are built once, here
         m = self.geometry.n_sensors

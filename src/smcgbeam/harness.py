@@ -14,8 +14,7 @@ bit-for-bit:
    exactly ``integers(0, 2, size=q)``, decoded from raw 64-bit words: bit
    31 of each 32-bit half, low half first, with an odd leftover half
    carried to the next snapshot. The noise call draws the same numbers as
-   two ``standard_normal(m)`` calls, real then imaginary, so the stream is
-   that of earlier versions.
+   two ``standard_normal(m)`` calls, real then imaginary.
 
 Nothing else draws from it: the algorithms are deterministic, so every
 entry of the roster sees the identical snapshot stream within a run, and
@@ -132,8 +131,6 @@ _TAU = {
 _PROJECTION_ORDER = 3
 _LABEL_BREAKERS = frozenset(',"\n\r/\\\0')  # each breaks a CSV row or a file name
 
-PRESET_NAMES = ("fig4", "fig5", "fig6", "fig8", "fig9")
-
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the field."""
@@ -189,20 +186,8 @@ class ExperimentConfig:
                 _check_value(f.name, getattr(self, f.name), f.default, "finite")
         if self.m < 1:
             raise ConfigError("m must be at least 1")
-        if not self.spacing_wavelengths > 0.0:
-            raise ConfigError("spacing_wavelengths must be positive")
         if self.gamma == 0.0:
             raise ConfigError("gamma must be non-zero")
-        if not self.noise_power > 0.0:
-            raise ConfigError("noise_power must be positive")
-        powers = {}
-        for name in ("snr_db", "inr_db"):
-            power = powers[name] = _source_power(self.noise_power, getattr(self, name))
-            if not 0.0 < power < math.inf:
-                raise ConfigError(
-                    f"{name} gives the source power noise_power * 10^({name}/10) = "
-                    f"{power!r}, not a positive finite float"
-                )
         if not 0.0 <= self.desired_doa_deg <= 180.0:
             raise ConfigError("desired_doa_deg must lie in [0, 180]")
         if not 0.0 <= self.doa_min_deg < self.doa_max_deg <= 180.0:
@@ -223,37 +208,44 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} = {value!r} is too large: {exc}") from exc
         if self.master_seed < 0:
             raise ConfigError("master_seed must be non-negative")
-        try:  # NumPy refuses an array of m entries with a ValueError
+        for entry in self.epochs:
+            if not (isinstance(entry, (tuple, list)) and len(entry) == 2):
+                raise ConfigError(f"epochs entry {entry!r} is not a (start, sources) pair")
+            for value in entry:
+                _check_value("epochs", value, 0, "finite")
+        try:  # m was checked above, so this refuses only the spacing
             geometry = ArrayGeometry(self.m, self.spacing_wavelengths)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        try:  # NumPy refuses an array of m entries with a ValueError or a MemoryError
             with np.errstate(all="ignore"):  # a non-finite vector is refused below
                 a0 = steering_vector(geometry, self.desired_doa_deg)
-        except ValueError as exc:
+        except (ValueError, MemoryError) as exc:
             raise ConfigError(f"m = {self.m!r} gives no steering vector: {exc}") from exc
         if a0.size != self.m:  # np.arange wraps an m near 2**63 to an empty range
             raise ConfigError(f"m = {self.m!r} gives no steering vector: it has {a0.size} entries")
         if not np.isfinite(a0.view(float)).all():
             what = f"spacing_wavelengths = {self.spacing_wavelengths!r}"
             raise ConfigError(f"{what} makes the steering vector non-finite")
-        if not self.epochs:
-            raise ConfigError("epochs must not be empty")
-        for entry in self.epochs:
-            if not (isinstance(entry, (tuple, list)) and len(entry) == 2):
-                raise ConfigError(f"epochs entry {entry!r} is not a (start, sources) pair")
-            for value in entry:
-                _check_value("epochs", value, 0, "finite")
-        starts = [start for start, _ in self.epochs]
-        if starts[0] != 1:
-            raise ConfigError("epochs must start at snapshot 1")
-        if any(b <= a for a, b in zip(starts, starts[1:])):
-            raise ConfigError("epochs starts must be strictly increasing")
-        if starts[-1] > self.n_snapshots:
-            raise ConfigError("epochs start beyond n_snapshots")
-        for start, q in self.epochs:
-            if q < 1:
-                raise ConfigError(f"epochs entry at {start} needs at least one source")
-            if q > self.m:
-                raise ConfigError(f"epochs entry at {start} has more sources than sensors")
-        q_max = max(q for _, q in self.epochs)
+        # A scenario of this shape: its constructors refuse the noise power and the
+        # epochs, naming them. Its sources are placeholders of unit power, so that
+        # no power overflows in its tables and a non-positive noise power is named
+        # as such; m + 1 of them are enough to refuse more sources than sensors.
+        q_max = max((q for _, q in self.epochs), default=1)
+        try:
+            _scenario(self, (Source(self.desired_doa_deg, 1.0),) * min(q_max, self.m + 1))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        except MemoryError as exc:
+            raise ConfigError(f"m = {self.m!r} is too large: {exc}") from exc
+        powers = {}
+        for name in ("snr_db", "inr_db"):
+            power = powers[name] = _source_power(self.noise_power, getattr(self, name))
+            if not 0.0 < power < math.inf:
+                raise ConfigError(
+                    f"{name} gives the source power noise_power * 10^({name}/10) = "
+                    f"{power!r}, not a positive finite float"
+                )
         total = powers["snr_db"] + (q_max - 1) * powers["inr_db"] + self.noise_power
         if not math.isfinite(total):
             raise ConfigError(
@@ -331,6 +323,8 @@ def _validate_params(spec: AlgoSpec, a0: np.ndarray, gamma: float, noise_power: 
             _FILTERS[spec.kind](a0, gamma=gamma, **dict(spec.params))
     except ValueError as exc:
         raise ConfigError(f"{where}.{exc}") from exc
+    except MemoryError as exc:
+        raise ConfigError(f"m = {a0.size} is too large: {exc}") from exc
 
 
 @dataclass
@@ -366,9 +360,6 @@ def build_scenario(config: ExperimentConfig, rng: np.random.Generator) -> Scenar
     band around the protected direction; rejected draws are redrawn, so the
     sequence is a pure function of the generator state.
     """
-    geometry = ArrayGeometry(config.m, config.spacing_wavelengths)
-    p_desired = _source_power(config.noise_power, config.snr_db)
-    p_interf = _source_power(config.noise_power, config.inr_db)
     n_interf = max(q for _, q in config.epochs) - 1
     doas: list[float] = []
     while len(doas) < n_interf:
@@ -376,14 +367,18 @@ def build_scenario(config: ExperimentConfig, rng: np.random.Generator) -> Scenar
         if abs(cand - config.desired_doa_deg) <= config.doa_guard_deg:
             continue
         doas.append(cand)
-    desired = Source(config.desired_doa_deg, p_desired)
-    interf = tuple(Source(d, p_interf) for d in doas)
-    epochs = tuple(
-        (start, (desired,) + interf[: q - 1]) for start, q in config.epochs
-    )
+    p_interf = _source_power(config.noise_power, config.inr_db)
+    desired = Source(config.desired_doa_deg, _source_power(config.noise_power, config.snr_db))
+    return _scenario(config, (desired, *(Source(d, p_interf) for d in doas)))
+
+
+def _scenario(config: ExperimentConfig, sources: tuple[Source, ...]) -> Scenario:
+    """The scenario of ``config`` whose epoch of q sources has the first q of
+    ``sources``, the desired source first. A count below 1 gives an epoch no
+    sources, which the :class:`Scenario` refuses."""
     return Scenario(
-        geometry=geometry,
-        epochs=epochs,
+        geometry=ArrayGeometry(config.m, config.spacing_wavelengths),
+        epochs=tuple((start, sources[: max(q, 0)]) for start, q in config.epochs),
         noise_power=config.noise_power,
         n_snapshots=config.n_snapshots,
     )
@@ -657,13 +652,12 @@ def _run(config, k, roster, source=_drawn):
 # 2-core x86 host, fig5, fig6 and fig9 at one run; SINR scoring included).
 # A gated row costs 2-31 us as its gate accepts 5-100 % of the snapshots.
 # A split run's first group also draws and forms the blocks, about 2.5 us
-# per snapshot, which the other groups no longer pay. Timed alone on blocks
-# drawn beforehand, so without the draw: cg 23.4, rls 10.1, sg 5.5, and a
-# gated row 1.6-30.6 us as its gate accepts 1-100 %. With the RLS row
-# update in preallocated buffers, rls reads 8.5-9.4 (fig9, fig6). The
-# table is left as it was, and so is every split: priced below smcg, rls
-# and mvdr would become fig9's cheapest group and so its drawer, and the
-# run's 15 ms of draw would join rls on fig9's critical path.
+# per snapshot, which the other groups do not pay. Timed alone on blocks
+# drawn beforehand, so without the draw: cg 23.4, rls 8.5-9.4, sg 5.5, and
+# a gated row 1.6-30.6 us as its gate accepts 1-100 %. rls is priced at
+# smcg's 10 all the same: priced below it, rls and mvdr would become fig9's
+# cheapest group and so its drawer, and the run's 15 ms of draw would join
+# rls on fig9's critical path.
 _COST = {"cg": 24.0, "rls": 10.0, "smcg": 10.0, "sg": 6.0, "mvdr": 0.0}
 
 
@@ -1022,6 +1016,9 @@ def presets() -> dict[str, tuple[ExperimentConfig, ...]]:
         "fig8": fig8,
         "fig9": (fig9,),
     }
+
+
+PRESET_NAMES = tuple(presets())
 
 
 def preset(name: str, runs: int | None = None, master_seed: int | None = None):

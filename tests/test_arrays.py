@@ -19,6 +19,7 @@ from smcgbeam.arrays import (
     steering_vector,
     total_covariance,
 )
+from smcgbeam.harness import ConfigError, ExperimentConfig, algo
 
 
 def make_scenario(m=4, n_snapshots=80):
@@ -117,24 +118,43 @@ class TestScenarioValidation:
             )
 
     @pytest.mark.parametrize(
-        "kw, match",
+        "kw, message",
         [
-            (dict(noise_power=0.0), "noise_power must be positive"),
-            (dict(n_snapshots=0), "n_snapshots must be at least 1"),
-            (dict(epochs=()), "at least one epoch is required"),
-            (dict(epochs=((1, (Source(90.0, 1.0),)), (11, (Source(90.0, 1.0),)))),
-             "epoch start index beyond n_snapshots"),
-            (dict(epochs=((1, ()),)), "epoch at 1 has no sources"),
+            pytest.param(dict(spacing_wavelengths=0.0), "spacing_wavelengths must be positive",
+                         id="spacing"),
+            pytest.param(dict(noise_power=0.0), "noise_power must be positive", id="noise-power"),
+            pytest.param(dict(n_snapshots=0), "n_snapshots must be at least 1", id="n-snapshots"),
+            pytest.param(dict(epochs=()), "epochs must not be empty", id="no-epochs"),
+            pytest.param(dict(epochs=((2, 3),)), "epochs must start at snapshot 1",
+                         id="first-start-not-1"),
+            pytest.param(dict(epochs=((1, 3), (1, 4))), "epochs starts must be strictly increasing",
+                         id="starts-not-increasing"),
+            pytest.param(dict(epochs=((1, 3), (11, 4))), "epochs start beyond n_snapshots",
+                         id="start-beyond-end"),
+            pytest.param(dict(epochs=((1, 0),)), "epochs entry at 1 needs at least one source",
+                         id="empty-first-epoch"),
+            pytest.param(dict(epochs=((1, 3), (5, 5))),
+                         "epochs entry at 5 has more sources than sensors",
+                         id="more-sources-than-sensors"),
         ],
-        ids=["noise-power", "n-snapshots", "no-epochs", "start-beyond-end", "empty-first-epoch"],
     )
-    def test_bad_scenario_is_named(self, kw, match):
-        base = dict(
-            geometry=ArrayGeometry(4), epochs=((1, (Source(90.0, 1.0),)),),
-            noise_power=1.0, n_snapshots=10,
-        )
-        with pytest.raises(ValueError, match=match):
-            Scenario(**{**base, **kw})
+    def test_bad_scenario_is_named(self, kw, message):
+        """One table of the scenario's rules: each bad scenario is refused with
+        the same message by ``Scenario`` and by ``ExperimentConfig.validate``."""
+        base = dict(m=4, n_snapshots=10, runs=1, algorithms=(algo("mvdr", "mvdr"),))
+        config = ExperimentConfig(**{**base, **kw})
+        q_max = max((q for _, q in config.epochs), default=0)
+        sources = tuple(Source(90.0 if k == 0 else 20.0 + 10.0 * k, 1.0) for k in range(q_max))
+        with pytest.raises(ValueError) as direct:
+            Scenario(
+                geometry=ArrayGeometry(config.m, config.spacing_wavelengths),
+                epochs=tuple((start, sources[:q]) for start, q in config.epochs),
+                noise_power=config.noise_power,
+                n_snapshots=config.n_snapshots,
+            )
+        with pytest.raises(ConfigError) as validated:
+            config.validate()
+        assert str(direct.value) == str(validated.value) == message
 
     def test_geometry_bounds(self):
         with pytest.raises(ValueError, match="n_sensors must be at least 1"):

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smcgbeam import cli
+from smcgbeam import cli, harness
 from smcgbeam.cli import main
 from smcgbeam.harness import PRESET_NAMES, config_to_sections, preset
 
@@ -330,6 +330,20 @@ class TestRun:
         err = capsys.readouterr().err
         assert "error:" in err
         assert "'sg'" in err
+
+    def test_array_too_large_to_allocate_exits_2_naming_m(self, tmp_path, capsys, monkeypatch):
+        """As ``scenario.m=200000`` does, whose m-by-m tables NumPy cannot
+        allocate. A stand-in refuses the allocation, so nothing large is made."""
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 596. GiB for an array with shape (200000, 200000)")
+
+        monkeypatch.setattr(harness, "Scenario", refuse)
+        rc = main(["run", "--preset", "fig4", "--runs", "1", "--out", str(tmp_path), *SHRINK_FIG4])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error: m = 4 is too large: Unable to allocate 596. GiB" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "fig4.csv").exists()
 
     def test_overflowing_total_power_exits_2(self, tmp_path, capsys):
         rc = main(["run", "--preset", "fig6", "--runs", "1", "--out", str(tmp_path),

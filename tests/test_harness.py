@@ -3,6 +3,7 @@
 import configparser
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +19,6 @@ from smcgbeam.arrays import (
     steering_vector,
 )
 from smcgbeam.harness import (
-    PRESET_NAMES,
     AlgoSpec,
     ConfigError,
     ExperimentConfig,
@@ -88,12 +88,29 @@ class TestValidation:
             (dict(n_snapshots=0), "n_snapshots"),
             (dict(runs=0), "runs"),
             (dict(master_seed=-1), "master_seed"),
-            (dict(epochs=()), "epochs must not be empty"),
-            (dict(epochs=((2, 3),)), "start at snapshot 1"),
-            (dict(epochs=((1, 3), (1, 4))), "strictly increasing"),
-            (dict(epochs=((1, 3), (100, 4))), "beyond n_snapshots"),
-            (dict(epochs=((1, 0),)), "at least one source"),
-            (dict(epochs=((1, 9),)), "more sources than sensors"),
+            # the epochs rules are in test_arrays.py's table, shared with Scenario
+            pytest.param(
+                dict(snr_db=10**400), r"snr_db must be finite, got 10{400}$",
+                id="int-beyond-float-range",
+            ),
+            pytest.param(
+                dict(algorithms=(algo("x", "smcg", eta=10**400),)),
+                r"algorithms\[x\]\.eta must be a finite number, got 10{400}$",
+                id="param-int-beyond-float-range",
+            ),
+            pytest.param(dict(m=16.0), r"m must be an integer, got 16\.0", id="float-for-int"),
+            pytest.param(
+                dict(epochs=((1, 3.0),)), r"epochs must be an integer, got 3\.0",
+                id="epochs-float-sources",
+            ),
+            pytest.param(
+                dict(epochs=((1.0, 3),)), r"epochs must be an integer, got 1\.0",
+                id="epochs-float-start",
+            ),
+            pytest.param(
+                dict(epochs=((True, 3),)), "epochs must be an integer, got True",
+                id="epochs-bool-start",
+            ),
             (dict(algorithms=()), "algorithms must not be empty"),
             (
                 dict(algorithms=(algo("a", "sg"), algo("a", "rls"))),
@@ -197,28 +214,6 @@ class TestValidation:
                 id="fixed-delta-squared-overflows",
             ),
             pytest.param(
-                dict(snr_db=10**400), r"snr_db must be finite, got 10{400}$",
-                id="int-beyond-float-range",
-            ),
-            pytest.param(
-                dict(algorithms=(algo("x", "smcg", eta=10**400),)),
-                r"algorithms\[x\]\.eta must be a finite number, got 10{400}$",
-                id="param-int-beyond-float-range",
-            ),
-            pytest.param(dict(m=16.0), r"m must be an integer, got 16\.0", id="float-for-int"),
-            pytest.param(
-                dict(epochs=((1, 3.0),)), r"epochs must be an integer, got 3\.0",
-                id="epochs-float-sources",
-            ),
-            pytest.param(
-                dict(epochs=((1.0, 3),)), r"epochs must be an integer, got 1\.0",
-                id="epochs-float-start",
-            ),
-            pytest.param(
-                dict(epochs=((True, 3),)), "epochs must be an integer, got True",
-                id="epochs-bool-start",
-            ),
-            pytest.param(
                 dict(epochs=(1, 10)), r"epochs entry 1 is not a \(start, sources\) pair",
                 id="epochs-flat-pair",
             ),
@@ -245,11 +240,48 @@ class TestValidation:
                 dict(algorithms=(algo("", "mvdr"),)), r"^algorithms\[\] must be non-empty",
                 id="algorithm-label-empty",
             ),
+            pytest.param(
+                dict(epochs=((1, 3), (20, -1))), "^epochs entry at 20 needs at least one source$",
+                id="negative-source-count",
+            ),
+            pytest.param(
+                dict(epochs=((1, 10**20),)), "^epochs entry at 1 has more sources than sensors$",
+                id="source-count-beyond-any-array",
+            ),
+            pytest.param(
+                dict(noise_power=-1.0), "^noise_power must be positive$", id="negative-noise-power",
+            ),
         ],
     )
     def test_each_bad_field_is_named(self, kw, match):
         with pytest.raises(ConfigError, match=match):
             replace(tiny_config(), **kw).validate()
+
+    @pytest.mark.parametrize(
+        "kw", [dict(inr_db=4000.0), dict(inr_db=3080.0)],
+        ids=["inr-power-overflows", "total-power-overflows"],
+    )
+    def test_refused_config_warns_nothing(self, kw):
+        """No table is formed from a power before the power is refused."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ConfigError, match="power"):
+                replace(tiny_config(), **kw).validate()
+
+    @pytest.mark.parametrize("target", ["Scenario", "_gated_filter", "sg"])
+    def test_allocation_failure_names_m(self, monkeypatch, target):
+        """An m-by-m array of the scenario or of an entry's filter that cannot
+        be allocated is a configuration error naming m. The allocation is
+        refused by a stand-in, so nothing large is ever allocated."""
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 596. GiB for an array")
+
+        if target in harness._FILTERS:
+            monkeypatch.setitem(harness._FILTERS, target, refuse)
+        else:
+            monkeypatch.setattr(harness, target, refuse)
+        with pytest.raises(ConfigError, match=r"^m = 4 is too large: Unable to allocate"):
+            tiny_config().validate()
 
     def test_numpy_scalars_stand_for_python_numbers(self):
         """An integer NumPy scalar is an integer and a real one a number, as
@@ -782,9 +814,7 @@ class TestRunExperiment:
 
 class TestPresets:
     def test_catalogue_is_valid(self):
-        table = presets()
-        assert tuple(table) == PRESET_NAMES
-        for configs in table.values():
+        for configs in presets().values():
             for cfg in configs:
                 cfg.validate()
 
