@@ -88,29 +88,12 @@ class TestValidation:
             (dict(n_snapshots=0), "n_snapshots"),
             (dict(runs=0), "runs"),
             (dict(master_seed=-1), "master_seed"),
-            # the epochs rules are in test_arrays.py's table, shared with Scenario
-            pytest.param(
-                dict(snr_db=10**400), r"snr_db must be finite, got 10{400}$",
-                id="int-beyond-float-range",
-            ),
-            pytest.param(
-                dict(algorithms=(algo("x", "smcg", eta=10**400),)),
-                r"algorithms\[x\]\.eta must be a finite number, got 10{400}$",
-                id="param-int-beyond-float-range",
-            ),
-            pytest.param(dict(m=16.0), r"m must be an integer, got 16\.0", id="float-for-int"),
-            pytest.param(
-                dict(epochs=((1, 3.0),)), r"epochs must be an integer, got 3\.0",
-                id="epochs-float-sources",
-            ),
-            pytest.param(
-                dict(epochs=((1.0, 3),)), r"epochs must be an integer, got 1\.0",
-                id="epochs-float-start",
-            ),
-            pytest.param(
-                dict(epochs=((True, 3),)), "epochs must be an integer, got True",
-                id="epochs-bool-start",
-            ),
+            (dict(epochs=()), "epochs must not be empty"),
+            (dict(epochs=((2, 3),)), "start at snapshot 1"),
+            (dict(epochs=((1, 3), (1, 4))), "strictly increasing"),
+            (dict(epochs=((1, 3), (100, 4))), "beyond n_snapshots"),
+            (dict(epochs=((1, 0),)), "at least one source"),
+            (dict(epochs=((1, 9),)), "more sources than sensors"),
             (dict(algorithms=()), "algorithms must not be empty"),
             (
                 dict(algorithms=(algo("a", "sg"), algo("a", "rls"))),
@@ -212,6 +195,28 @@ class TestValidation:
                 dict(algorithms=(algo("x", "smcg", bound="fixed", delta=1e200),)),
                 r"algorithms\[x\]\.delta squared must be a finite float, got 1e\+200",
                 id="fixed-delta-squared-overflows",
+            ),
+            pytest.param(
+                dict(snr_db=10**400), r"snr_db must be finite, got 10{400}$",
+                id="int-beyond-float-range",
+            ),
+            pytest.param(
+                dict(algorithms=(algo("x", "smcg", eta=10**400),)),
+                r"algorithms\[x\]\.eta must be a finite number, got 10{400}$",
+                id="param-int-beyond-float-range",
+            ),
+            pytest.param(dict(m=16.0), r"m must be an integer, got 16\.0", id="float-for-int"),
+            pytest.param(
+                dict(epochs=((1, 3.0),)), r"epochs must be an integer, got 3\.0",
+                id="epochs-float-sources",
+            ),
+            pytest.param(
+                dict(epochs=((1.0, 3),)), r"epochs must be an integer, got 1\.0",
+                id="epochs-float-start",
+            ),
+            pytest.param(
+                dict(epochs=((True, 3),)), "epochs must be an integer, got True",
+                id="epochs-bool-start",
             ),
             pytest.param(
                 dict(epochs=(1, 10)), r"epochs entry 1 is not a \(start, sources\) pair",
